@@ -32,6 +32,10 @@ pub const SCENARIOS: &[&str] = &[
     "cluster4_jsq_sfs",
     "cluster4_hash_sfs",
     "cluster4_l2l_cfs",
+    // Round-robin and least-loaded complete the placement set, so every
+    // `Placement` variant is locked bit-exactly.
+    "cluster4_rr_sfs",
+    "cluster4_ll_sfs",
     // SMP machine model with the load balancer + migration/affinity costs
     // enabled (PR 6). Every other scenario runs the default (all-off)
     // `SmpParams`, which is what keeps their snapshots byte-identical to
@@ -204,6 +208,8 @@ pub fn run_scenario(name: &str) -> Vec<RequestOutcome> {
         "cluster4_jsq_sfs" => cluster_scenario(Placement::JoinShortestQueue, None),
         "cluster4_hash_sfs" => cluster_scenario(Placement::ConsistentHash, None),
         "cluster4_l2l_cfs" => cluster_scenario(Placement::LongToLightest, Some(Baseline::Cfs)),
+        "cluster4_rr_sfs" => cluster_scenario(Placement::RoundRobin, None),
+        "cluster4_ll_sfs" => cluster_scenario(Placement::LeastLoaded, None),
         "smp2_sfs" => smp_scenario(2, None, false),
         "smp4_sfs" => smp_scenario(4, None, false),
         "smp8_sfs" => smp_scenario(8, None, false),

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod time;
 pub mod window;
 
-pub use events::{EventCore, EventQueue};
+pub use events::EventQueue;
 pub use parallel::SeedSequencer;
 pub use rng::SimRng;
 pub use series::TimeSeries;

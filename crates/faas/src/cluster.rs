@@ -3,10 +3,11 @@
 //! relatively lighter-loaded FaaS servers by the global FaaS scheduler to
 //! mitigate the performance impact."*
 //!
-//! A [`Cluster`] of identical hosts behind one global dispatcher. The
-//! dispatcher runs an **event-driven loop**: request arrivals interleave
-//! with predicted host-completion events, so every placement decision sees
-//! *live* per-host state ([`HostLoad`]: outstanding queue depth, remaining
+//! A [`Cluster`] of identical hosts behind one global dispatcher — the
+//! [`Fleet`] dispatcher, run on one always-on region (see below). The
+//! dispatcher runs an **event-driven loop**: request arrivals interleave with predicted
+//! host-completion events, so every placement decision sees *live*
+//! per-host state ([`HostLoad`]: outstanding queue depth, remaining
 //! backlog, and an EWMA of recent turnarounds) rather than a static
 //! pre-assignment. The dispatcher's view is its own dispatch log plus the
 //! per-function duration statistics SFS already keeps — it never peeks at
@@ -37,26 +38,33 @@
 //! `WorkloadSpec::cold_start_mix` uses). Locality-blind placements scatter
 //! functions and pay it often; `ConsistentHash` concentrates them.
 //!
-//! # Determinism under parallel execution
+//! # The one-region fleet
 //!
-//! A run has two phases. *Placement* is a single sequential event loop —
-//! a pure function of `(cluster config, placement, workload)`. *Execution*
-//! fans the per-host simulations out over
-//! [`sfs_simcore::parallel::run_indexed`], one independent `Sim` per host
-//! with results written into host-indexed slots; per-host inputs (the
-//! sub-workload and the hash-ring positions) derive from the cluster seed
-//! by pure [`SeedSequencer`] functions. A 64-host run therefore uses every
-//! core, yet its output is bit-identical at any thread count — the same
-//! invariant the sweep engine guarantees for trials.
-
-use std::cmp::Reverse;
-// lint: allow(D1, dispatcher bookkeeping maps are keyed insert/get/remove only — see the audited allows in place())
-use std::collections::{BinaryHeap, HashMap};
+//! [`Cluster::run_with_threads`] builds a [`Fleet`] with one region at
+//! zero RTT, `initial = min = max = hosts`, infinite spill and shed
+//! thresholds, no autoscaler, and no faults, and runs the fleet's routing
+//! and execution phases on it. Three facts make that bit-identical to a
+//! dedicated cluster dispatcher:
+//!
+//! * zero RTT makes the fleet's front-door re-basing of outcomes a no-op
+//!   (it uses the same rte formula as the host simulation);
+//! * with infinite thresholds every request is routed to the one region,
+//!   and with completions as the only events the fleet's `(time, class,
+//!   seq)` event order is the `(time, dispatch seq)` order;
+//! * the hash ring is seeded by an argument of the routing phase, so the
+//!   cluster's ring derives from [`Cluster::seed`] itself rather than from
+//!   a per-region seed.
+//!
+//! Determinism under parallel execution is the fleet's: placement is one
+//! sequential event loop and execution fans out over
+//! [`sfs_simcore::parallel::run_indexed`], so a run is bit-identical at
+//! any thread count.
 
 use sfs_core::{ControllerFactory, RequestOutcome, SfsConfig};
-use sfs_sched::Phase;
 use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimTime};
 use sfs_workload::{AppKind, Request, Table1Sampler, Workload, LONG_THRESHOLD_MS};
+
+use crate::fleet::{Fleet, FrontDoor, RegionConfig};
 
 /// Global dispatcher placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,24 +197,6 @@ impl HostLoad {
     }
 }
 
-/// A predicted host completion in the dispatcher's event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Completion {
-    at: SimTime,
-    /// Dispatch sequence number: deterministic FIFO tie-break.
-    seq: u64,
-    host: usize,
-}
-
-/// The dispatcher's output: per-host request indices plus the cold-start
-/// penalties the affinity model charged.
-struct Plan {
-    per_host: Vec<Vec<usize>>,
-    /// Cold-start penalty per request index (zero = warm or no affinity).
-    penalty: Vec<SimDuration>,
-    cold_starts: u64,
-}
-
 /// A cluster of identical SFS hosts behind one global dispatcher.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -294,190 +284,44 @@ impl Cluster {
         workload: &Workload,
         threads: usize,
     ) -> ClusterRun {
-        let plan = self.place(placement, workload);
-        let per_host: Vec<usize> = plan.per_host.iter().map(Vec::len).collect();
-        let host_outcomes = parallel::run_indexed(self.hosts, threads, |h| {
-            let idxs = &plan.per_host[h];
-            if idxs.is_empty() {
-                return Vec::new();
-            }
-            // Sub-workload: the host's requests (original ids preserved —
-            // outcome ids stay globally unique), cold penalties applied as
-            // a leading CPU phase.
-            let sub = Workload {
-                requests: idxs
-                    .iter()
-                    .map(|&i| {
-                        let mut r = workload.requests[i].clone();
-                        if !plan.penalty[i].is_zero() {
-                            r.spec.phases.insert(0, Phase::Cpu(plan.penalty[i]));
-                        }
-                        r
-                    })
-                    .collect(),
-            };
-            factory.run_on(self.cores_per_host, &sub).outcomes
-        });
-        let mut outcomes: Vec<RequestOutcome> = host_outcomes.into_iter().flatten().collect();
-        outcomes.sort_by_key(|o| o.id);
+        let fleet = self.as_fleet();
+        let plan = fleet.route(placement, workload, |_| self.seed);
         ClusterRun {
-            outcomes,
-            per_host,
+            outcomes: fleet.execute(&plan, factory, workload, threads),
+            per_host: plan.placed_per_host(0, self.hosts),
             placement,
             cold_starts: plan.cold_starts,
         }
     }
 
-    /// The event-driven dispatch loop: a pure, sequential function of
-    /// `(self, placement, workload)` — see the module docs for the
-    /// determinism argument.
-    fn place(&self, placement: Placement, workload: &Workload) -> Plan {
-        let t1 = Table1Sampler::new();
-        let ring = self.build_ring();
-        let mut hosts: Vec<HostLoad> = (0..self.hosts)
-            .map(|_| HostLoad::new(self.cores_per_host))
-            .collect();
-        let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-        // Audited lookups-only (simlint D1): both maps are touched purely
-        // by key — `in_flight` is inserted at dispatch and removed at the
-        // predicted completion popped from the `completions` heap;
-        // `last_seen` is inserted at dispatch and probed by `(host, key)`
-        // for warmth. Neither is ever iterated, so hash order cannot reach
-        // any placement decision; event order comes solely from the
-        // arrival loop and the BinaryHeap. Locked by
-        // `dispatcher_state_is_hash_order_independent` below.
-        // In-flight values are `seq -> (service, long, turnaround)`.
-        // lint: allow(D1, keyed insert/remove via the completions heap only; never iterated — determinism test locks it)
-        let mut in_flight: HashMap<u64, (f64, bool, f64)> = HashMap::new();
-        // lint: allow(D1, keyed insert/get by (host, func) only; never iterated — determinism test locks it)
-        let mut last_seen: HashMap<(usize, u64), SimTime> = HashMap::new();
-        let mut per_host: Vec<Vec<usize>> = vec![Vec::new(); self.hosts];
-        let mut penalty = vec![SimDuration::ZERO; workload.len()];
-        let mut cold_starts = 0u64;
-        let mut total_depth = 0usize;
-        let mut rr = 0usize;
-
-        for (seq, &idx) in workload.arrival_order().iter().enumerate() {
-            let seq = seq as u64; // dispatch sequence number: FIFO tie-break
-            let r = &workload.requests[idx];
-            let now = r.arrival;
-
-            // Deliver every completion event due by now, oldest first
-            // (FIFO tie-break by dispatch sequence).
-            while let Some(&Reverse(c)) = completions.peek() {
-                if c.at > now {
-                    break;
-                }
-                completions.pop();
-                let (service_ms, long, turnaround_ms) =
-                    in_flight.remove(&c.seq).expect("completion bookkeeping");
-                let h = &mut hosts[c.host];
-                h.depth -= 1;
-                total_depth -= 1;
-                if long {
-                    h.outstanding_long_ms = (h.outstanding_long_ms - service_ms).max(0.0);
-                }
-                h.ewma_turnaround_ms = Some(match h.ewma_turnaround_ms {
-                    Some(e) => self.ewma_alpha * turnaround_ms + (1.0 - self.ewma_alpha) * e,
-                    None => turnaround_ms,
-                });
-            }
-
-            let predicted_long = r.duration_ms >= LONG_THRESHOLD_MS;
-            let key = func_key(&t1, r);
-            let host = match placement {
-                Placement::RoundRobin => {
-                    let h = rr % self.hosts;
-                    rr += 1;
-                    h
-                }
-                Placement::LeastLoaded => argmin_f64(&hosts, |h| h.backlog_ms(now)),
-                Placement::LongToLightest => {
-                    if predicted_long {
-                        argmin_f64(&hosts, |h| h.outstanding_long_ms)
-                    } else {
-                        let h = rr % self.hosts;
-                        rr += 1;
-                        h
-                    }
-                }
-                Placement::JoinShortestQueue => argmin_jsq(&hosts),
-                Placement::ConsistentHash => self.ring_lookup(&ring, &hosts, key, total_depth),
-            };
-
-            // Affinity: cold unless this host served the function within
-            // the keep-alive window.
-            let mut service_ms = r.spec.cpu_demand().as_millis_f64();
-            if let Some(aff) = self.affinity {
-                let warm = last_seen
-                    .get(&(host, key))
-                    .is_some_and(|&t| now <= t + aff.keep_alive);
-                if !warm {
-                    penalty[idx] = aff.cold_start;
-                    service_ms += aff.cold_start.as_millis_f64();
-                    cold_starts += 1;
-                }
-            }
-
-            let finish = hosts[host].admit(now, service_ms);
-            hosts[host].depth += 1;
-            total_depth += 1;
-            if predicted_long {
-                hosts[host].outstanding_long_ms += service_ms;
-            }
-            // The container stays warm from dispatch through (predicted)
-            // finish plus the keep-alive window.
-            last_seen.insert((host, key), finish);
-            in_flight.insert(
-                seq,
-                (
-                    service_ms,
-                    predicted_long,
-                    finish.since(now).as_millis_f64(),
-                ),
-            );
-            completions.push(Reverse(Completion {
-                at: finish,
-                seq,
-                host,
-            }));
-            per_host[host].push(idx);
+    /// This cluster as a one-region fleet (see the module docs for why its
+    /// results are the cluster's, bit for bit).
+    fn as_fleet(&self) -> Fleet {
+        Fleet {
+            regions: vec![RegionConfig {
+                rtt_ms: 0.0,
+                initial_hosts: self.hosts,
+                max_hosts: self.hosts,
+                min_hosts: self.hosts,
+            }],
+            cores_per_host: self.cores_per_host,
+            sfs: self.sfs,
+            affinity: self.affinity,
+            front_door: FrontDoor {
+                spill_backlog_ms: f64::INFINITY,
+                shed_backlog_ms: f64::INFINITY,
+            },
+            autoscaler: None,
+            faults: None,
+            ewma_alpha: self.ewma_alpha,
+            seed: self.seed,
+            vnodes: self.vnodes,
         }
-
-        Plan {
-            per_host,
-            penalty,
-            cold_starts,
-        }
-    }
-
-    /// The consistent-hash ring: `vnodes` positions per host, derived from
-    /// the cluster seed by a pure function (bit-identical across runs and
-    /// thread counts).
-    fn build_ring(&self) -> Vec<(u64, usize)> {
-        build_ring(self.hosts, self.vnodes, self.seed)
-    }
-
-    /// Bounded-load consistent hashing: walk clockwise from the key's ring
-    /// position, skipping hosts whose outstanding depth exceeds 1.25× the
-    /// cluster mean (counting the request being placed).
-    fn ring_lookup(
-        &self,
-        ring: &[(u64, usize)],
-        hosts: &[HostLoad],
-        key: u64,
-        total_depth: usize,
-    ) -> usize {
-        let cap = bounded_load_cap(total_depth, self.hosts);
-        ring_walk(ring, hosts, key, cap, |_| true)
-            // Every host at the bound (can only happen for degenerate
-            // rings): fall back to the shallowest queue.
-            .unwrap_or_else(|| argmin_f64(hosts, |h| h.depth as f64))
     }
 }
 
-/// The consistent-hash ring shared by [`Cluster`] and the fleet layer:
-/// `vnodes` positions per host, derived from `seed` by a pure function.
+/// The consistent-hash ring of one region: `vnodes` positions per host,
+/// derived from `seed` by a pure function.
 pub(crate) fn build_ring(hosts: usize, vnodes: usize, seed: u64) -> Vec<(u64, usize)> {
     let seq = SeedSequencer::new(seed);
     let mut ring: Vec<(u64, usize)> = (0..hosts)
@@ -497,8 +341,7 @@ pub(crate) fn bounded_load_cap(total_depth: usize, hosts: usize) -> usize {
 /// The bounded-load clockwise walk: first host at the key's ring position
 /// (or after it) that `eligible` admits and whose depth is under `cap`.
 /// `None` when no eligible host is under the cap — the caller owns the
-/// degenerate fallback (the cluster falls back to the shallowest queue;
-/// the fleet must also skip crashed / parked hosts).
+/// degenerate fallback (the shallowest eligible queue).
 pub(crate) fn ring_walk(
     ring: &[(u64, usize)],
     hosts: &[HostLoad],
@@ -517,7 +360,8 @@ pub(crate) fn ring_walk(
     None
 }
 
-/// Index of the host minimising `f`, ties to the lowest index.
+/// Index of the minimum score over `(index, score)` pairs, ties to the
+/// first pair; `None` for an empty slate.
 ///
 /// Selection runs over [`f64::total_cmp`], which is total over NaN, so no
 /// score value can be silently skipped: the old `v < best_v` scan was
@@ -528,20 +372,9 @@ pub(crate) fn ring_walk(
 /// as before (bit-identical placements for NaN-free inputs, which is every
 /// shipped scoring function), and degenerate slates resolve by the total
 /// order with ties to the lowest index.
-fn argmin_f64(hosts: &[HostLoad], f: impl Fn(&HostLoad) -> f64) -> usize {
-    argmin_f64_over(hosts.iter().enumerate(), f).expect("clusters have at least one host")
-}
-
-/// [`argmin_f64`] over an arbitrary `(index, host)` subset — the form the
-/// fleet dispatcher needs (placement must skip crashed / parked / booting
-/// hosts). Returns `None` for an empty slate.
-pub(crate) fn argmin_f64_over<'a>(
-    hosts: impl Iterator<Item = (usize, &'a HostLoad)>,
-    f: impl Fn(&HostLoad) -> f64,
-) -> Option<usize> {
+pub(crate) fn argmin_f64(scored: impl IntoIterator<Item = (usize, f64)>) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, h) in hosts {
-        let v = f(h);
+    for (i, v) in scored {
         best = match best {
             Some((_, bv)) if v.total_cmp(&bv).is_lt() => Some((i, v)),
             Some(b) => Some(b),
@@ -551,18 +384,12 @@ pub(crate) fn argmin_f64_over<'a>(
     best.map(|(i, _)| i)
 }
 
-/// Join-shortest-queue host choice: lexicographic min over (outstanding
-/// depth, EWMA of recent turnarounds), ties to the lowest index.
-fn argmin_jsq(hosts: &[HostLoad]) -> usize {
-    argmin_jsq_over(hosts, hosts.iter().enumerate().map(|(i, _)| i))
-        .expect("clusters have at least one host")
-}
-
-/// [`argmin_jsq`] over an arbitrary index subset of `hosts` — the form the
-/// fleet dispatcher needs. Returns `None` for an empty slate.
-pub(crate) fn argmin_jsq_over(
+/// Join-shortest-queue host choice over the `candidates` subset of
+/// `hosts`: lexicographic min over (outstanding depth, EWMA of recent
+/// turnarounds), ties to the first candidate; `None` for an empty slate.
+pub(crate) fn argmin_jsq(
     hosts: &[HostLoad],
-    candidates: impl Iterator<Item = usize>,
+    candidates: impl IntoIterator<Item = usize>,
 ) -> Option<usize> {
     let mut best: Option<usize> = None;
     for i in candidates {
@@ -755,36 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_state_is_hash_order_independent() {
-        // The dispatcher's only HashMaps (`in_flight`, `last_seen`) are
-        // audited lookups-only — see the reasoned simlint allows at their
-        // declarations. This locks the audit dynamically: every call to
-        // `place()` builds fresh maps, and std's RandomState gives each
-        // HashMap instance a different hash seed within one process, so if
-        // any iteration order leaked into placement, repeated identical
-        // runs would diverge. They must instead be bit-identical, under
-        // every placement, with the affinity model exercising `last_seen`.
-        let cluster = Cluster::new(4, 2).with_affinity(
-            SimDuration::from_millis(1_000),
-            SimDuration::from_millis(30),
-        );
-        let w = workload(800, 4, 2, 0.9);
-        for p in Placement::ALL {
-            let a = cluster.run(p, &w);
-            let b = cluster.run(p, &w);
-            assert_eq!(a.per_host, b.per_host, "{}", p.name());
-            assert_eq!(a.cold_starts, b.cold_starts, "{}", p.name());
-            assert_eq!(a.outcomes.len(), b.outcomes.len(), "{}", p.name());
-            for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-                assert_eq!(x.id, y.id, "{}", p.name());
-                assert_eq!(x.finished, y.finished, "{}", p.name());
-                assert_eq!(x.turnaround, y.turnaround, "{}", p.name());
-                assert_eq!(x.rte.to_bits(), y.rte.to_bits(), "{}", p.name());
-            }
-        }
-    }
-
-    #[test]
     fn consistent_hash_maximises_warm_hits() {
         // Locality: under the affinity model, the hash placement must pay
         // far fewer cold starts than the locality-blind queue balancer.
@@ -868,14 +665,17 @@ mod tests {
 
     #[test]
     fn argmin_prefers_smaller_scores_and_lowest_index_ties() {
-        let mut hosts: Vec<HostLoad> = (0..4).map(|_| HostLoad::new(2)).collect();
-        hosts[2].outstanding_long_ms = -1.0;
-        assert_eq!(argmin_f64(&hosts, |h| h.outstanding_long_ms), 2);
-        hosts[2].outstanding_long_ms = 0.0;
+        let scores = |s: [f64; 4]| argmin_f64(s.into_iter().enumerate());
+        assert_eq!(scores([0.0, 0.0, -1.0, 0.0]), Some(2));
         assert_eq!(
-            argmin_f64(&hosts, |h| h.outstanding_long_ms),
-            0,
+            scores([0.0; 4]),
+            Some(0),
             "ties resolve to the lowest index"
+        );
+        assert_eq!(
+            argmin_f64([(3, 1.0), (1, 1.0), (2, 0.5)]),
+            Some(2),
+            "indices are the pairs' own, not positions"
         );
     }
 
@@ -886,23 +686,12 @@ mod tests {
         // slate must resolve by rule, not by sentinel accident. Under
         // total_cmp, NaN orders *above* every finite value, so a finite
         // score always beats NaN, and an all-NaN slate ties to index 0.
-        let hosts: Vec<HostLoad> = (0..3).map(|_| HostLoad::new(2)).collect();
-        let scores = [f64::NAN, 7.0, 9.0];
-        // Score by identity map via core_free trickery is awkward — score
-        // through an index lookup instead.
-        let by = |s: [f64; 3]| {
-            argmin_f64_over(hosts.iter().enumerate(), |h| {
-                s[hosts
-                    .iter()
-                    .position(|x| std::ptr::eq(x, h))
-                    .expect("host from this slate")]
-            })
-        };
-        assert_eq!(by(scores), Some(1), "finite beats NaN");
+        let by = |s: [f64; 3]| argmin_f64(s.into_iter().enumerate());
+        assert_eq!(by([f64::NAN, 7.0, 9.0]), Some(1), "finite beats NaN");
         assert_eq!(by([f64::NAN; 3]), Some(0), "all-NaN ties to index 0");
         assert_eq!(by([f64::NAN, f64::INFINITY, 2.0]), Some(2));
         assert_eq!(
-            argmin_f64_over(hosts.iter().enumerate().filter(|_| false), |_| 0.0),
+            argmin_f64(std::iter::empty()),
             None,
             "empty slate is None, not a panic"
         );
@@ -917,13 +706,13 @@ mod tests {
         hosts[3].depth = 1;
         hosts[3].ewma_turnaround_ms = Some(5.0);
         hosts[2].ewma_turnaround_ms = Some(9.0);
-        assert_eq!(argmin_jsq(&hosts), 0);
+        assert_eq!(argmin_jsq(&hosts, 0..4), Some(0));
         assert_eq!(
-            argmin_jsq_over(&hosts, [1, 2, 3].into_iter()),
+            argmin_jsq(&hosts, [1, 2, 3]),
             Some(3),
             "depth tie breaks on the lower EWMA"
         );
-        assert_eq!(argmin_jsq_over(&hosts, std::iter::empty()), None);
+        assert_eq!(argmin_jsq(&hosts, std::iter::empty()), None);
     }
 
     #[test]
@@ -994,8 +783,8 @@ mod tests {
         // The degenerate branch: force every host to the cap (the fleet
         // reaches this state when eligibility shrinks the slate — e.g.
         // every active host saturated during an AZ outage) and check the
-        // walk reports it, twice, identically; the cluster's fallback then
-        // picks the shallowest queue deterministically.
+        // walk reports it, twice, identically; the fallback then picks the
+        // shallowest queue deterministically.
         let ring = build_ring(4, 8, 0xDEAD_BEEF);
         let mut hosts: Vec<HostLoad> = (0..4).map(|_| HostLoad::new(2)).collect();
         for h in &mut hosts {
@@ -1008,10 +797,10 @@ mod tests {
         // Eligibility shrinks the slate the same way: only saturated hosts
         // eligible -> None, even though host 2 has headroom.
         assert_eq!(ring_walk(&ring, &hosts, 42, 5, |h| h != 2), None);
-        // The cluster-level fallback (shallowest queue) is deterministic.
-        let fb = argmin_f64(&hosts, |h| h.depth as f64);
-        assert_eq!(fb, 2);
-        assert_eq!(argmin_f64(&hosts, |h| h.depth as f64), fb);
+        // The caller's fallback (shallowest queue) is deterministic.
+        let depths = || hosts.iter().map(|h| h.depth as f64).enumerate();
+        assert_eq!(argmin_f64(depths()), Some(2));
+        assert_eq!(argmin_f64(depths()), Some(2));
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Region-scale serving: a multi-region fleet of [`Cluster`](crate::Cluster)-style host
-//! pools behind one global front door (ROADMAP item 1; the paper's §IX
-//! composition argument scaled out).
+//! Region-scale serving: a multi-region fleet of host pools behind one
+//! global front door (the paper's §IX composition argument scaled out).
+//! This is the repo's one dispatcher: a [`Cluster`](crate::Cluster) is a
+//! one-region fleet with every fleet-only mechanism switched off.
 //!
 //! Three subsystems compose here:
 //!
 //! * **Front door** — every request enters at a global anycast point and is
 //!   routed to a region by *latency-aware* scoring: per-region RTT cost
 //!   plus the live backlog-per-core feedback of the region's dispatcher
-//!   model (the same predicted-completion discipline [`Cluster`](crate::Cluster) uses).
+//!   model (the predicted-completion discipline of [`HostLoad`]).
 //!   A region whose backlog crosses the spill threshold stops attracting
 //!   traffic (spillover to the next-best region); when every region is
 //!   past the shed threshold the request is **shed** at the door.
@@ -28,11 +29,11 @@
 //!
 //! # Determinism under parallel execution
 //!
-//! The two-phase design of [`Cluster`](crate::Cluster) scales up unchanged. *Routing* is
-//! one sequential event loop — a pure function of `(fleet config,
-//! placement, workload)` — over a single event heap ordered by `(time,
-//! class, sequence)`; fault plans derive from the fleet seed by pure
-//! [`SeedSequencer`] / [`SimRng`] functions before the loop starts.
+//! A run has two phases. *Routing* is one sequential event loop — a pure
+//! function of `(fleet config, placement, workload)` — over a single event
+//! heap ordered by `(time, class, sequence)`; fault plans derive from the
+//! fleet seed by pure [`SeedSequencer`] / [`SimRng`] functions before the
+//! loop starts.
 //! *Execution* fans out over [`sfs_simcore::parallel::run_indexed`], one
 //! independent `Sim` per `(region, host, epoch)` unit with results written
 //! into index-ordered slots (a host's epoch increments each time a crash
@@ -50,8 +51,8 @@ use sfs_simcore::{parallel, SeedSequencer, SimDuration, SimRng, SimTime};
 use sfs_workload::{Table1Sampler, Workload};
 
 use crate::cluster::{
-    argmin_f64_over, argmin_jsq_over, bounded_load_cap, build_ring, func_key, ring_walk, Affinity,
-    HostLoad, Placement,
+    argmin_f64, argmin_jsq, bounded_load_cap, build_ring, func_key, ring_walk, Affinity, HostLoad,
+    Placement,
 };
 
 /// One region of the fleet: an RTT cost from the front door plus a pool of
@@ -429,16 +430,28 @@ impl RegionState {
 }
 
 /// The sequential routing phase's full output.
-struct FleetPlan {
+pub(crate) struct FleetPlan {
     /// Execution units keyed `(region, host, epoch)` — BTreeMap order is
     /// the deterministic fan-out order.
     units: BTreeMap<(usize, usize, u32), Vec<PlacedReq>>,
     shed: Vec<u64>,
     lost: Vec<u64>,
     per_region: Vec<RegionStats>,
-    cold_starts: u64,
+    pub(crate) cold_starts: u64,
     redispatches: u64,
     spilled: u64,
+}
+
+impl FleetPlan {
+    /// Requests placed on each of `region`'s first `hosts` slots, summed
+    /// over epochs.
+    pub(crate) fn placed_per_host(&self, region: usize, hosts: usize) -> Vec<usize> {
+        let mut per_host = vec![0; hosts];
+        for (&(_, host, _), placed) in self.units.range((region, 0, 0)..(region + 1, 0, 0)) {
+            per_host[host] += placed.len();
+        }
+        per_host
+    }
 }
 
 impl Fleet {
@@ -513,7 +526,34 @@ impl Fleet {
         workload: &Workload,
         threads: usize,
     ) -> FleetRun {
-        let plan = self.route(placement, workload);
+        let plan = self.route(placement, workload, |region| {
+            SeedSequencer::new(self.seed).seed_for(region as u64)
+        });
+        let outcomes = self.execute(&plan, factory, workload, threads);
+        FleetRun {
+            outcomes,
+            shed: plan.shed,
+            lost: plan.lost,
+            placement,
+            per_region: plan.per_region,
+            cold_starts: plan.cold_starts,
+            redispatches: plan.redispatches,
+            spilled: plan.spilled,
+            requests: workload.len(),
+        }
+    }
+
+    /// The parallel execution phase: one independent `Sim` per
+    /// `(region, host, epoch)` unit of `plan`, fanned out over `threads`
+    /// workers. Returns the completed outcomes sorted by id and re-based to
+    /// the front-door arrival.
+    pub(crate) fn execute(
+        &self,
+        plan: &FleetPlan,
+        factory: &(dyn ControllerFactory + Sync),
+        workload: &Workload,
+        threads: usize,
+    ) -> Vec<RequestOutcome> {
         let units: Vec<&Vec<PlacedReq>> = plan.units.values().collect();
         let unit_outcomes = parallel::run_indexed(units.len(), threads, |u| {
             let placed = units[u];
@@ -549,6 +589,8 @@ impl Fleet {
         outcomes.sort_by_key(|o| o.id);
         // Re-base to the front-door invocation, the OpenLambda idiom: RTT,
         // queueing, and re-dispatch delay are part of what the user felt.
+        // (The same rte formula as `FinishedTask::rte`, so with zero RTT
+        // this rewrites every outcome to itself.)
         for o in outcomes.iter_mut() {
             let front = workload.requests[o.id as usize].arrival;
             o.arrival = front;
@@ -559,22 +601,18 @@ impl Fleet {
                 (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
             };
         }
-        FleetRun {
-            outcomes,
-            shed: plan.shed,
-            lost: plan.lost,
-            placement,
-            per_region: plan.per_region,
-            cold_starts: plan.cold_starts,
-            redispatches: plan.redispatches,
-            spilled: plan.spilled,
-            requests: workload.len(),
-        }
+        outcomes
     }
 
     /// The sequential routing phase: front door + autoscaler + fault
-    /// injection in one event loop. Pure in `(self, placement, workload)`.
-    fn route(&self, placement: Placement, workload: &Workload) -> FleetPlan {
+    /// injection in one event loop. Pure in `(self, placement, workload,
+    /// ring_seed)`; region `i`'s hash ring derives from `ring_seed(i)`.
+    pub(crate) fn route(
+        &self,
+        placement: Placement,
+        workload: &Workload,
+        ring_seed: impl Fn(usize) -> u64,
+    ) -> FleetPlan {
         let t1 = Table1Sampler::new();
         let aff = self.affinity;
         let faults = self.faults.unwrap_or_default();
@@ -605,11 +643,7 @@ impl Fleet {
                     straggle: vec![1.0; cfg.max_hosts],
                     epoch: vec![0; cfg.max_hosts],
                     pending_up: vec![None; cfg.max_hosts],
-                    ring: build_ring(
-                        cfg.max_hosts,
-                        self.vnodes,
-                        SeedSequencer::new(self.seed).seed_for(i as u64),
-                    ),
+                    ring: build_ring(cfg.max_hosts, self.vnodes, ring_seed(i)),
                     depth: 0,
                     rr: 0,
                     stats: RegionStats::default(),
@@ -619,7 +653,7 @@ impl Fleet {
             .collect();
         // The cheapest-RTT region is every request's "home"; placements
         // elsewhere count as spillover.
-        let home = argmin_index(self.regions.iter().map(|r| r.rtt_ms)).unwrap_or(0);
+        let home = argmin_f64(self.regions.iter().map(|r| r.rtt_ms).enumerate()).unwrap_or(0);
 
         let order = workload.arrival_order();
         let mut heap: BinaryHeap<std::cmp::Reverse<Event>> = BinaryHeap::new();
@@ -1010,13 +1044,19 @@ impl Fleet {
             self.front_door.spill_backlog_ms,
             self.front_door.shed_backlog_ms,
         ] {
-            let best = argmin_index(loads.iter().zip(regions.iter()).map(|(&l, r)| {
-                if l < threshold {
-                    r.cfg.rtt_ms + l
-                } else {
-                    f64::INFINITY
-                }
-            }));
+            let best = argmin_f64(
+                loads
+                    .iter()
+                    .zip(regions.iter())
+                    .map(|(&l, r)| {
+                        if l < threshold {
+                            r.cfg.rtt_ms + l
+                        } else {
+                            f64::INFINITY
+                        }
+                    })
+                    .enumerate(),
+            );
             if let Some(b) = best {
                 if loads[b] < threshold {
                     return Some(b);
@@ -1028,8 +1068,8 @@ impl Fleet {
 }
 
 /// Intra-region placement over the active hosts only — the [`Placement`]
-/// disciplines of [`Cluster`](crate::Cluster), restricted to the slate the autoscaler and
-/// fault injector currently allow. `None` when no host is active.
+/// disciplines, restricted to the slate the autoscaler and fault injector
+/// currently allow. `None` when no host is active.
 fn pick_host(
     placement: Placement,
     reg: &mut RegionState,
@@ -1053,19 +1093,15 @@ fn pick_host(
     };
     match placement {
         Placement::RoundRobin => rr_next(reg),
-        Placement::LeastLoaded => {
-            argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| h.backlog_ms(now))
-        }
+        Placement::LeastLoaded => argmin_f64(actives().map(|h| (h, reg.hosts[h].backlog_ms(now)))),
         Placement::LongToLightest => {
             if long {
-                argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| {
-                    h.outstanding_long_ms
-                })
+                argmin_f64(actives().map(|h| (h, reg.hosts[h].outstanding_long_ms)))
             } else {
                 rr_next(reg)
             }
         }
-        Placement::JoinShortestQueue => argmin_jsq_over(&reg.hosts, actives()),
+        Placement::JoinShortestQueue => argmin_jsq(&reg.hosts, actives()),
         Placement::ConsistentHash => {
             let active_n = reg.active_count();
             if active_n == 0 {
@@ -1075,23 +1111,9 @@ fn pick_host(
             ring_walk(&reg.ring, &reg.hosts, key, cap, |h| {
                 matches!(reg.state[h], HostState::Active)
             })
-            .or_else(|| argmin_f64_over(actives().map(|h| (h, &reg.hosts[h])), |h| h.depth as f64))
+            .or_else(|| argmin_f64(actives().map(|h| (h, reg.hosts[h].depth as f64))))
         }
     }
-}
-
-/// Index of the minimum of a float iterator under `total_cmp`, ties to the
-/// lowest index; `None` on empty input.
-fn argmin_index(scores: impl Iterator<Item = f64>) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, v) in scores.enumerate() {
-        best = match best {
-            Some((_, bv)) if v.total_cmp(&bv).is_lt() => Some((i, v)),
-            Some(b) => Some(b),
-            None => Some((i, v)),
-        };
-    }
-    best.map(|(i, _)| i)
 }
 
 /// The contiguous host slots of AZ `group` (0 = low half, 1 = high half).

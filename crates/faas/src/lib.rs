@@ -10,8 +10,10 @@
 //!   hand-off, occupancy stats);
 //! * [`platform`] — [`platform::OpenLambda`]: end-to-end dispatch + run under
 //!   SFS or a kernel baseline, with turnaround re-based to HTTP invocation;
-//! * [`fleet`] — [`fleet::Fleet`]: multi-region composition of [`Cluster`]
-//!   pools behind a global front door, with autoscaling and fault injection.
+//! * [`fleet`] — [`fleet::Fleet`]: the dispatcher — multi-region host
+//!   pools behind a global front door, with autoscaling and fault injection;
+//! * [`cluster`] — [`Cluster`]: one always-on host pool, run as a
+//!   one-region [`fleet::Fleet`], plus the shared placement vocabulary.
 
 #![warn(missing_docs)]
 

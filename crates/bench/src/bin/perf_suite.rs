@@ -12,13 +12,16 @@
 //!            [--filter SUBSTR]
 //! ```
 //!
-//! * `--out` — where to write the JSON report (default `BENCH_sim.json`).
+//! * `--out` — where to write the JSON report (default `BENCH_sim.json`,
+//!   the full-matrix trajectory; a `--filter` run must name its own file).
 //! * `--check` — additionally diff this run against a baseline report and
 //!   exit non-zero if any scenario's median regressed past the band.
 //! * `--tolerance` — the band for `--check` as a ratio (default 2.0; CI
 //!   uses the default wide band, the strict local workflow uses ~1.15).
 //! * `--filter` — run only scenarios whose name contains the substring
-//!   (a filtered run still writes JSON, so it can seed focused diffs).
+//!   (a filtered run still writes JSON, so it can seed focused diffs). It
+//!   requires an explicit `--out`: a partial run never overwrites the
+//!   default `BENCH_sim.json`.
 //!
 //! Scale: `SFS_PERF_REQUESTS` (default 2000) sizes the `sim/` scenarios;
 //! `SFS_BENCH_SEED` pins the workloads. Microbenchmarks are fixed-size so
@@ -34,8 +37,12 @@ fn perf_requests() -> usize {
     sfs_bench::parse_env_override("SFS_PERF_REQUESTS", v.as_deref(), 2_000)
 }
 
+/// Where an unfiltered run writes its report.
+const DEFAULT_OUT: &str = "BENCH_sim.json";
+
 struct Args {
-    out: String,
+    /// `None` writes [`DEFAULT_OUT`].
+    out: Option<String>,
     check: Option<String>,
     tolerance: f64,
     filter: Option<String>,
@@ -43,7 +50,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        out: "BENCH_sim.json".to_string(),
+        out: None,
         check: None,
         tolerance: 2.0,
         filter: None,
@@ -52,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match a.as_str() {
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
@@ -65,6 +72,12 @@ fn parse_args() -> Result<Args, String> {
             "--filter" => args.filter = Some(value("--filter")?),
             other => return Err(format!("unknown argument {other:?} (see --help in docs)")),
         }
+    }
+    if args.filter.is_some() && args.out.is_none() {
+        return Err(format!(
+            "--filter needs an explicit --out: {DEFAULT_OUT} holds the full-matrix \
+             trajectory and a partial run must not overwrite it"
+        ));
     }
     Ok(args)
 }
@@ -119,10 +132,11 @@ fn main() -> ExitCode {
         );
     }
 
-    match std::fs::write(&args.out, report.to_json()) {
-        Ok(()) => println!("\n[saved {}]", args.out),
+    let out = args.out.as_deref().unwrap_or(DEFAULT_OUT);
+    match std::fs::write(out, report.to_json()) {
+        Ok(()) => println!("\n[saved {out}]"),
         Err(e) => {
-            eprintln!("perf_suite: cannot write {}: {e}", args.out);
+            eprintln!("perf_suite: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
     }

@@ -5,9 +5,9 @@
 //!
 //! A [`Cluster`] of identical hosts behind one global dispatcher — the
 //! [`Fleet`] dispatcher, run on one always-on region (see below). The
-//! dispatcher runs an **event-driven loop**: request arrivals interleave with predicted
-//! host-completion events, so every placement decision sees *live*
-//! per-host state ([`HostLoad`]: outstanding queue depth, remaining
+//! dispatcher runs an **event-driven loop**: request arrivals interleave
+//! with predicted host-completion events, so every placement decision sees
+//! *live* per-host state ([`HostLoad`]: outstanding queue depth, remaining
 //! backlog, and an EWMA of recent turnarounds) rather than a static
 //! pre-assignment. The dispatcher's view is its own dispatch log plus the
 //! per-function duration statistics SFS already keeps — it never peeks at
@@ -43,8 +43,8 @@
 //! [`Cluster::run_with_threads`] builds a [`Fleet`] with one region at
 //! zero RTT, `initial = min = max = hosts`, infinite spill and shed
 //! thresholds, no autoscaler, and no faults, and runs the fleet's routing
-//! and execution phases on it. Three facts make that bit-identical to a
-//! dedicated cluster dispatcher:
+//! and execution phases on it. Three facts make the result exactly the
+//! single-pool dispatch described above:
 //!
 //! * zero RTT makes the fleet's front-door re-basing of outcomes a no-op
 //!   (it uses the same rte formula as the host simulation);

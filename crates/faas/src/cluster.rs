@@ -492,6 +492,56 @@ mod tests {
         }
     }
 
+    /// `w` with every request's id (and task label) mapped through `f`.
+    fn relabel(w: &Workload, f: impl Fn(u64) -> u64) -> Workload {
+        Workload {
+            requests: w
+                .requests
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.id = f(r.id);
+                    r.spec.label = r.id;
+                    r
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn ids_are_labels_not_indices() {
+        // A trace excerpt's ids need not be 0..n. Shifting every id changes
+        // nothing but the ids; with ids reversed, each outcome is still
+        // measured from its own request's arrival.
+        let cluster = Cluster::new(3, 2).with_affinity(
+            SimDuration::from_millis(2_000),
+            SimDuration::from_millis(25),
+        );
+        let w = workload(400, 3, 2, 0.9);
+        let shifted = relabel(&w, |id| id + 1_000);
+        let reversed = relabel(&w, |id| 399 - id);
+        for p in Placement::ALL {
+            let base = cluster.run(p, &w);
+            let run = cluster.run(p, &shifted);
+            assert_eq!(run.per_host, base.per_host, "{}", p.name());
+            assert_eq!(run.cold_starts, base.cold_starts, "{}", p.name());
+            assert_eq!(run.outcomes.len(), base.outcomes.len(), "{}", p.name());
+            for (a, b) in run.outcomes.iter().zip(base.outcomes.iter()) {
+                assert_eq!(a.id, b.id + 1_000, "{}", p.name());
+                assert_eq!(a.arrival, b.arrival, "{}", p.name());
+                assert_eq!(a.turnaround, b.turnaround, "{}", p.name());
+                assert_eq!(a.rte.to_bits(), b.rte.to_bits(), "{}", p.name());
+            }
+            let run = cluster.run(p, &reversed);
+            assert_eq!(run.outcomes.len(), 400, "{}", p.name());
+            for o in &run.outcomes {
+                let r = &w.requests[(399 - o.id) as usize];
+                assert_eq!(o.arrival, r.arrival, "{} id {}", p.name(), o.id);
+                assert_eq!(o.turnaround, o.finished.since(r.arrival), "{}", p.name());
+            }
+        }
+    }
+
     #[test]
     fn round_robin_balances_counts() {
         let cluster = Cluster::new(4, 2);

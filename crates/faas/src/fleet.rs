@@ -54,6 +54,7 @@ use crate::cluster::{
     argmin_f64, argmin_jsq, bounded_load_cap, build_ring, func_key, ring_walk, Affinity, HostLoad,
     Placement,
 };
+use crate::platform::rebase_to_front;
 
 /// One region of the fleet: an RTT cost from the front door plus a pool of
 /// host slots the autoscaler moves between active / parked / released.
@@ -366,6 +367,8 @@ impl PartialOrd for Event {
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     idx: usize,
+    /// The request's id (`lost` reports ids, which need not be indices).
+    id: u64,
     region: usize,
     host: usize,
     service_ms: f64,
@@ -396,6 +399,9 @@ struct RegionState {
     /// Timestamp of the latest scheduled HostUp per slot; earlier HostUp
     /// events in the heap are stale and must be ignored.
     pending_up: Vec<Option<SimTime>>,
+    /// Warm pool per slot: function key → latest predicted finish there
+    /// (the container stays warm a keep-alive window past it).
+    warm: Vec<BTreeMap<u64, SimTime>>,
     ring: Vec<(u64, usize)>,
     /// In-flight count across the region's hosts.
     depth: usize,
@@ -583,24 +589,13 @@ impl Fleet {
                     })
                     .collect(),
             };
-            factory.run_on(self.cores_per_host, &sub).outcomes
+            let mut outcomes = factory.run_on(self.cores_per_host, &sub).outcomes;
+            let front = placed.iter().map(|p| &workload.requests[p.idx]);
+            rebase_to_front(&mut outcomes, front.map(|r| (r.id, r.arrival)).collect());
+            outcomes
         });
         let mut outcomes: Vec<RequestOutcome> = unit_outcomes.into_iter().flatten().collect();
         outcomes.sort_by_key(|o| o.id);
-        // Re-base to the front-door invocation, the OpenLambda idiom: RTT,
-        // queueing, and re-dispatch delay are part of what the user felt.
-        // (The same rte formula as `FinishedTask::rte`, so with zero RTT
-        // this rewrites every outcome to itself.)
-        for o in outcomes.iter_mut() {
-            let front = workload.requests[o.id as usize].arrival;
-            o.arrival = front;
-            o.turnaround = o.finished.since(front);
-            o.rte = if o.turnaround.is_zero() {
-                1.0
-            } else {
-                (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
-            };
-        }
         outcomes
     }
 
@@ -643,6 +638,7 @@ impl Fleet {
                     straggle: vec![1.0; cfg.max_hosts],
                     epoch: vec![0; cfg.max_hosts],
                     pending_up: vec![None; cfg.max_hosts],
+                    warm: vec![BTreeMap::new(); cfg.max_hosts],
                     ring: build_ring(cfg.max_hosts, self.vnodes, ring_seed(i)),
                     depth: 0,
                     rr: 0,
@@ -741,7 +737,6 @@ impl Fleet {
 
         let mut units: BTreeMap<(usize, usize, u32), Vec<PlacedReq>> = BTreeMap::new();
         let mut in_flight: BTreeMap<u64, InFlight> = BTreeMap::new();
-        let mut last_seen: BTreeMap<(usize, usize, u64), SimTime> = BTreeMap::new();
         let mut shed: Vec<u64> = Vec::new();
         let mut lost: Vec<u64> = Vec::new();
         let mut dispatch_seq = 0u64;
@@ -784,8 +779,8 @@ impl Fleet {
                                 let mut service_ms = r.spec.cpu_demand().as_millis_f64();
                                 let mut penalty = SimDuration::ZERO;
                                 if let Some(aff) = aff {
-                                    let warm = last_seen
-                                        .get(&(region, host, key))
+                                    let warm = reg.warm[host]
+                                        .get(&key)
                                         .is_some_and(|&t| at_host <= t + aff.keep_alive);
                                     if !warm {
                                         penalty = aff.cold_start;
@@ -809,11 +804,12 @@ impl Fleet {
                                 if attempts > 0 {
                                     redispatches += 1;
                                 }
-                                last_seen.insert((region, host, key), finish);
+                                reg.warm[host].insert(key, finish);
                                 in_flight.insert(
                                     dispatch_seq,
                                     InFlight {
                                         idx,
+                                        id: r.id,
                                         region,
                                         host,
                                         service_ms,
@@ -883,7 +879,6 @@ impl Fleet {
                             ev.at,
                             &mut units,
                             &mut in_flight,
-                            &mut last_seen,
                             &mut lost,
                             &faults,
                             |at, kind| push(&mut heap, &mut event_seq, at, kind),
@@ -920,7 +915,6 @@ impl Fleet {
                                 ev.at,
                                 &mut units,
                                 &mut in_flight,
-                                &mut last_seen,
                                 &mut lost,
                                 &faults,
                                 |at, kind| push(&mut heap, &mut event_seq, at, kind),
@@ -947,7 +941,7 @@ impl Fleet {
                             reg.state[host] = HostState::Active;
                             reg.hosts[host].reset(ev.at);
                             reg.epoch[host] += 1;
-                            clear_warmth(&mut last_seen, region, host);
+                            reg.warm[host].clear();
                         }
                     }
                     EventKind::ParkExpire { region, host } => {
@@ -1036,6 +1030,14 @@ impl Fleet {
     /// the shed threshold; if none (or no region has an active host), the
     /// request is shed. Ties resolve to the lowest region index.
     fn route_region(&self, regions: &[RegionState], now: SimTime) -> Option<usize> {
+        // A lone region under an infinite spill threshold has no rival to
+        // score against and nothing to compare its backlog with: it takes
+        // every request while it has an active host (the cluster's case).
+        if let [only] = regions {
+            if self.front_door.spill_backlog_ms == f64::INFINITY {
+                return (only.active_count() > 0).then_some(0);
+            }
+        }
         let loads: Vec<f64> = regions
             .iter()
             .map(|r| r.backlog_per_core_ms(now, self.cores_per_host))
@@ -1126,21 +1128,6 @@ fn az_members(max_hosts: usize, group: usize) -> std::ops::Range<usize> {
     }
 }
 
-/// Drop all warm-pool entries of one host (its containers died with it).
-fn clear_warmth(
-    last_seen: &mut BTreeMap<(usize, usize, u64), SimTime>,
-    region: usize,
-    host: usize,
-) {
-    let keys: Vec<(usize, usize, u64)> = last_seen
-        .range((region, host, 0)..=(region, host, u64::MAX))
-        .map(|(&k, _)| k)
-        .collect();
-    for k in keys {
-        last_seen.remove(&k);
-    }
-}
-
 /// Take one host down (crash or outage member): evict its in-flight work
 /// back through the front door, wipe its model and warm pool. Returns
 /// whether the host actually went down (false for slots already down or
@@ -1153,7 +1140,6 @@ fn take_host_down(
     at: SimTime,
     units: &mut BTreeMap<(usize, usize, u32), Vec<PlacedReq>>,
     in_flight: &mut BTreeMap<u64, InFlight>,
-    last_seen: &mut BTreeMap<(usize, usize, u64), SimTime>,
     lost: &mut Vec<u64>,
     faults: &FaultSpec,
     mut push: impl FnMut(SimTime, EventKind),
@@ -1187,7 +1173,7 @@ fn take_host_down(
         reg.hosts[host].depth -= 1;
         reg.depth -= 1;
         if fl.attempts >= faults.max_redispatch {
-            lost.push(fl.idx as u64);
+            lost.push(fl.id);
         } else {
             push(
                 at,
@@ -1200,7 +1186,7 @@ fn take_host_down(
     }
     reg.state[host] = HostState::Down;
     reg.hosts[host].reset(at);
-    clear_warmth(last_seen, region, host);
+    reg.warm[host].clear();
     reg.stats.crashes += 1;
     true
 }
@@ -1291,6 +1277,52 @@ mod tests {
                 assert_eq!(o.id, i as u64);
                 assert!(o.rte > 0.0 && o.rte <= 1.0);
             }
+        }
+    }
+
+    #[test]
+    fn ids_are_labels_not_indices() {
+        // Shifting every id (a trace excerpt) shifts the completed, shed
+        // and lost ids and changes nothing else; with ids reversed, each
+        // outcome is still re-based to its own request's arrival.
+        let fleet = Fleet::new(2, 3, 2).with_faults(FaultSpec {
+            crashes: 3,
+            max_redispatch: 0,
+            ..FaultSpec::default()
+        });
+        let w = workload(500, 12, 1.0, 37);
+        let relabel = |f: &dyn Fn(u64) -> u64| Workload {
+            requests: w
+                .requests
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.id = f(r.id);
+                    r.spec.label = r.id;
+                    r
+                })
+                .collect(),
+        };
+        let shifted = relabel(&|id| id + 1_000);
+        let reversed = relabel(&|id| 499 - id);
+        let plus = |ids: &[u64]| ids.iter().map(|id| id + 1_000).collect::<Vec<u64>>();
+        let base = fleet.run(Placement::JoinShortestQueue, &w);
+        assert!(!base.lost.is_empty(), "the fault plan must lose someone");
+        let run = fleet.run(Placement::JoinShortestQueue, &shifted);
+        assert_eq!(run.lost, plus(&base.lost));
+        assert_eq!(run.shed, plus(&base.shed));
+        assert_eq!(run.outcomes.len(), base.outcomes.len());
+        for (a, b) in run.outcomes.iter().zip(base.outcomes.iter()) {
+            assert_eq!(a.id, b.id + 1_000);
+            assert_eq!(a.arrival, b.arrival);
+            assert_eq!(a.turnaround, b.turnaround);
+            assert_eq!(a.rte.to_bits(), b.rte.to_bits());
+        }
+        let run = fleet.run(Placement::JoinShortestQueue, &reversed);
+        for o in &run.outcomes {
+            let r = &w.requests[(499 - o.id) as usize];
+            assert_eq!(o.arrival, r.arrival, "id {}", o.id);
+            assert_eq!(o.turnaround, o.finished.since(r.arrival));
         }
     }
 

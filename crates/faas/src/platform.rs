@@ -235,17 +235,38 @@ impl OpenLambda {
             .boxed_controller(sched.build())
             .run()
             .outcomes;
-        for o in outcomes.iter_mut() {
-            let http = dispatched.http_arrivals[o.id as usize];
-            o.arrival = http;
-            o.turnaround = o.finished.since(http);
-            o.rte = if o.turnaround.is_zero() {
-                1.0
-            } else {
-                (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
-            };
-        }
+        let front = workload.requests.iter().map(|r| r.id);
+        rebase_to_front(
+            &mut outcomes,
+            front
+                .zip(dispatched.http_arrivals.iter().copied())
+                .collect(),
+        );
         outcomes
+    }
+}
+
+/// Re-base `outcomes` to the front-door invocation, the OpenLambda idiom:
+/// everything before the host (platform hops, RTT, re-dispatch delay) is
+/// part of what the user felt. `front` pairs request ids with their
+/// invocation instants; ids are labels, not indices (a trace excerpt may
+/// start above 0 or skip ids), so the lookup goes by id. The rte formula
+/// is `FinishedTask::rte`'s, so an outcome whose host arrival was its
+/// invocation is rewritten to itself.
+pub(crate) fn rebase_to_front(outcomes: &mut [RequestOutcome], mut front: Vec<(u64, SimTime)>) {
+    front.sort_unstable_by_key(|&(id, _)| id);
+    for o in outcomes.iter_mut() {
+        let k = front
+            .binary_search_by_key(&o.id, |&(id, _)| id)
+            .expect("every outcome has a front-door invocation");
+        let arrival = front[k].1;
+        o.arrival = arrival;
+        o.turnaround = o.finished.since(arrival);
+        o.rte = if o.turnaround.is_zero() {
+            1.0
+        } else {
+            (o.ideal.as_nanos() as f64 / o.turnaround.as_nanos() as f64).min(1.0)
+        };
     }
 }
 
@@ -295,6 +316,36 @@ mod tests {
                 o.id
             );
             assert!(o.rte <= 1.0 && o.rte > 0.0);
+        }
+    }
+
+    #[test]
+    fn ids_are_labels_not_indices() {
+        // A trace excerpt's ids need not be 0..n: shifting every id
+        // changes nothing but the ids.
+        let ol = OpenLambda::new(OpenLambdaParams::default());
+        let w = small_workload();
+        let shifted = Workload {
+            requests: w
+                .requests
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.id += 1_000;
+                    r.spec.label = r.id;
+                    r
+                })
+                .collect(),
+        };
+        let sched = HostScheduler::Kernel(Baseline::Cfs);
+        let base = ol.run(sched.clone(), 8, &w);
+        let out = ol.run(sched, 8, &shifted);
+        assert_eq!(out.len(), base.len());
+        for (a, b) in out.iter().zip(base.iter()) {
+            assert_eq!(a.id, b.id + 1_000);
+            assert_eq!(a.arrival, b.arrival);
+            assert_eq!(a.turnaround, b.turnaround);
+            assert_eq!(a.rte.to_bits(), b.rte.to_bits());
         }
     }
 

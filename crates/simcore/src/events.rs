@@ -8,8 +8,9 @@
 //!
 //! The queue is a [`std::collections::BinaryHeap`] keyed by
 //! `(time, insertion seq)`: O(log n) per operation, which is cheap at the
-//! depths the simulator builds (a machine's queue stays in the tens of
-//! events even on multi-million-request runs).
+//! depths the simulator builds (the deepest measured queue held 118
+//! events, on the 32-core `stream_io_smp` benchmark workload; see
+//! ARCHITECTURE.md, "Event core and streaming stats").
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

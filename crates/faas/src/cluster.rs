@@ -492,22 +492,6 @@ mod tests {
         }
     }
 
-    /// `w` with every request's id (and task label) mapped through `f`.
-    fn relabel(w: &Workload, f: impl Fn(u64) -> u64) -> Workload {
-        Workload {
-            requests: w
-                .requests
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.id = f(r.id);
-                    r.spec.label = r.id;
-                    r
-                })
-                .collect(),
-        }
-    }
-
     #[test]
     fn ids_are_labels_not_indices() {
         // A trace excerpt's ids need not be 0..n. Shifting every id changes
@@ -518,8 +502,8 @@ mod tests {
             SimDuration::from_millis(25),
         );
         let w = workload(400, 3, 2, 0.9);
-        let shifted = relabel(&w, |id| id + 1_000);
-        let reversed = relabel(&w, |id| 399 - id);
+        let shifted = crate::platform::tests::relabel(&w, |id| id + 1_000);
+        let reversed = crate::platform::tests::relabel(&w, |id| 399 - id);
         for p in Placement::ALL {
             let base = cluster.run(p, &w);
             let run = cluster.run(p, &shifted);

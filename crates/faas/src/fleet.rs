@@ -1291,20 +1291,8 @@ mod tests {
             ..FaultSpec::default()
         });
         let w = workload(500, 12, 1.0, 37);
-        let relabel = |f: &dyn Fn(u64) -> u64| Workload {
-            requests: w
-                .requests
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.id = f(r.id);
-                    r.spec.label = r.id;
-                    r
-                })
-                .collect(),
-        };
-        let shifted = relabel(&|id| id + 1_000);
-        let reversed = relabel(&|id| 499 - id);
+        let shifted = crate::platform::tests::relabel(&w, |id| id + 1_000);
+        let reversed = crate::platform::tests::relabel(&w, |id| 499 - id);
         let plus = |ids: &[u64]| ids.iter().map(|id| id + 1_000).collect::<Vec<u64>>();
         let base = fleet.run(Placement::JoinShortestQueue, &w);
         assert!(!base.lost.is_empty(), "the fault plan must lose someone");

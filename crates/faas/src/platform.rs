@@ -271,9 +271,26 @@ pub(crate) fn rebase_to_front(outcomes: &mut [RequestOutcome], mut front: Vec<(u
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sfs_workload::WorkloadSpec;
+
+    /// `w` with every request's id (and task label) mapped through `f`:
+    /// a trace excerpt whose ids are not `0..n`.
+    pub(crate) fn relabel(w: &Workload, f: impl Fn(u64) -> u64) -> Workload {
+        Workload {
+            requests: w
+                .requests
+                .iter()
+                .map(|r| {
+                    let mut r = r.clone();
+                    r.id = f(r.id);
+                    r.spec.label = r.id;
+                    r
+                })
+                .collect(),
+        }
+    }
 
     fn small_workload() -> Workload {
         WorkloadSpec::openlambda(600, 77)
@@ -325,18 +342,7 @@ mod tests {
         // changes nothing but the ids.
         let ol = OpenLambda::new(OpenLambdaParams::default());
         let w = small_workload();
-        let shifted = Workload {
-            requests: w
-                .requests
-                .iter()
-                .map(|r| {
-                    let mut r = r.clone();
-                    r.id += 1_000;
-                    r.spec.label = r.id;
-                    r
-                })
-                .collect(),
-        };
+        let shifted = relabel(&w, |id| id + 1_000);
         let sched = HostScheduler::Kernel(Baseline::Cfs);
         let base = ol.run(sched.clone(), 8, &w);
         let out = ol.run(sched, 8, &shifted);

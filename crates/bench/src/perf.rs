@@ -70,6 +70,10 @@ pub struct PerfScenario {
 pub struct PerfRecord {
     /// Scenario name.
     pub name: String,
+    /// Work items one timed iteration performed — the scenario's scale
+    /// (requests per run for `sim/` scenarios). `None` when read from a
+    /// file written before the field existed.
+    pub items: Option<u64>,
     /// Median nanoseconds per work item (request or operation).
     pub median_ns_per_req: f64,
     /// 10th-percentile ns per item across batches.
@@ -471,11 +475,11 @@ pub fn suite(requests: usize, seed: u64) -> Vec<PerfScenario> {
 
     // -- The large-run capstone: streaming end to end. ------------------
     // Lazy workload stream -> Sim::run_streaming -> OutcomeSummary sketch
-    // sink: nothing is ever materialised per request, so memory is
-    // O(peak concurrency) while the scale climbs to 10M
-    // (`SFS_PERF_LARGE_REQUESTS`; CI runs reduced). Unlike the scenarios
-    // above, workload generation runs *inside* the timed body — at 10M
-    // there is nowhere to precompute it — so its ns/req additionally
+    // sink: nothing is ever materialised per request, so memory tracks
+    // the live pid window, not the request count, while the scale climbs
+    // to 10M (`SFS_PERF_LARGE_REQUESTS`; CI runs reduced). Unlike the
+    // scenarios above, workload generation runs *inside* the timed body —
+    // at 10M there is nowhere to precompute it — so its ns/req additionally
     // carries the generator; staying within ~1.3x of sim/sfs_azure is the
     // flat-scaling guarantee this scenario locks. One iteration is a whole
     // run (tens of seconds at full scale), so batches are few.
@@ -515,6 +519,7 @@ pub fn run_suite(
         let m: Measurement = measure_with(&mut s.body, &s.cfg);
         let rec = PerfRecord {
             name: s.name.to_string(),
+            items: Some(s.items),
             median_ns_per_req: m.median_ns / s.items as f64,
             p10_ns_per_req: m.p10_ns / s.items as f64,
             p90_ns_per_req: m.p90_ns / s.items as f64,
@@ -542,6 +547,9 @@ impl BenchReport {
         s.push_str("  \"scenarios\": {\n");
         for (i, r) in self.scenarios.iter().enumerate() {
             s.push_str(&format!("    \"{}\": {{\n", r.name));
+            if let Some(items) = r.items {
+                s.push_str(&format!("      \"items\": {items},\n"));
+            }
             s.push_str(&format!(
                 "      \"median_ns_per_req\": {:.1},\n",
                 r.median_ns_per_req
@@ -592,8 +600,19 @@ impl BenchReport {
         };
         let mut scenarios = Vec::with_capacity(pairs.len());
         for (name, rec) in pairs {
+            // Optional (older files lack it), but never silently dropped.
+            let items = match rec.get("items") {
+                None => None,
+                Some(v) => Some(
+                    v.as_num()
+                        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+                        .ok_or(format!("scenario {name:?}: items is not a whole number"))?
+                        as u64,
+                ),
+            };
             scenarios.push(PerfRecord {
                 name: name.clone(),
+                items,
                 median_ns_per_req: field(rec, "median_ns_per_req")?,
                 p10_ns_per_req: field(rec, "p10_ns_per_req")?,
                 p90_ns_per_req: field(rec, "p90_ns_per_req")?,
@@ -793,6 +812,7 @@ mod tests {
             scenarios: vec![
                 PerfRecord {
                     name: "sim/a".into(),
+                    items: Some(400),
                     median_ns_per_req: 1000.0,
                     p10_ns_per_req: 900.0,
                     p90_ns_per_req: 1100.0,
@@ -800,6 +820,7 @@ mod tests {
                 },
                 PerfRecord {
                     name: "micro/b".into(),
+                    items: Some(1),
                     median_ns_per_req: 50.5,
                     p10_ns_per_req: 49.5,
                     p90_ns_per_req: 52.5,
@@ -814,6 +835,42 @@ mod tests {
         let r = report();
         let parsed = BenchReport::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn files_without_items_still_parse_and_roundtrip() {
+        // Reports written before per-scenario items existed (the committed
+        // baseline among them) parse with `items: None`, and re-serialise
+        // without inventing the field.
+        let mut r = report();
+        for rec in &mut r.scenarios {
+            rec.items = None;
+        }
+        let text = r.to_json();
+        assert!(!text.contains("\"items\""), "{text}");
+        let parsed = BenchReport::from_json(&text).unwrap();
+        assert_eq!(parsed, r);
+        assert_eq!(BenchReport::from_json(&parsed.to_json()).unwrap(), r);
+        // With the field, the scale survives the round trip.
+        let full = report();
+        let parsed = BenchReport::from_json(&full.to_json()).unwrap();
+        assert_eq!(parsed.scenarios[0].items, Some(400));
+        assert_eq!(parsed, full);
+        // A present but malformed scale is an error, not a missing one.
+        for bad in ["\"400\"", "-1", "2.5"] {
+            let text = full
+                .to_json()
+                .replace("\"items\": 400", &format!("\"items\": {bad}"));
+            let err = BenchReport::from_json(&text).unwrap_err();
+            assert!(err.contains("sim/a") && err.contains("items"), "{err}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_parses() {
+        let text = include_str!("../../../results/BENCH_baseline.json");
+        let base = BenchReport::from_json(text).expect("baseline parses");
+        assert!(!base.scenarios.is_empty());
     }
 
     #[test]
@@ -836,6 +893,7 @@ mod tests {
         // Scenario drift is reported, never fatal.
         cur.scenarios.push(PerfRecord {
             name: "sim/new".into(),
+            items: Some(400),
             median_ns_per_req: 1.0,
             p10_ns_per_req: 1.0,
             p90_ns_per_req: 1.0,

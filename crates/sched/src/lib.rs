@@ -414,6 +414,77 @@ mod tests {
         assert_eq!(m.cpu_time(a), ms(20));
     }
 
+    /// A machine whose first 1100 tasks (pids 0..1100) finished and were
+    /// reaped by `compact`.
+    fn reaped_machine() -> Machine {
+        let mut m = Machine::new(exact_params(1, KernelPolicyKind::Cfs));
+        for i in 0..1100 {
+            m.spawn(TaskSpec::cpu(i, ms(1)));
+        }
+        m.advance_to(at(2_000));
+        assert_eq!(m.live_tasks(), 0);
+        m.compact();
+        assert_eq!(m.task_table_len(), 0, "the dead prefix was drained");
+        m
+    }
+
+    #[test]
+    fn reaped_pid_reads_dead() {
+        let mut m = reaped_machine();
+        assert_eq!(m.proc_state(Pid(0)), ProcState::Dead);
+        assert_eq!(m.proc_state(Pid(1099)), ProcState::Dead);
+        // Pids keep counting: the next spawn is not a reused pid.
+        let next = m.spawn(TaskSpec::cpu(7, ms(5)));
+        assert_eq!(next, Pid(1100));
+        assert_eq!(m.proc_state(next), ProcState::Running);
+        assert_eq!(m.proc_state(Pid(0)), ProcState::Dead);
+    }
+
+    #[test]
+    fn set_policy_on_reaped_pid_is_a_noop() {
+        let mut m = reaped_machine();
+        let live = m.spawn(TaskSpec::cpu(7, ms(5)));
+        m.set_policy(Pid(3), Policy::Fifo { prio: 50 });
+        assert_eq!(m.proc_state(Pid(3)), ProcState::Dead);
+        assert_eq!(m.policy_of(live), Policy::NORMAL);
+        assert_eq!(m.task_table_len(), 1);
+        m.run_until_quiescent();
+        assert_eq!(m.proc_state(live), ProcState::Dead);
+    }
+
+    #[test]
+    #[should_panic(expected = "Machine::cpu_time: pid5 was reaped")]
+    fn cpu_time_of_reaped_pid_panics() {
+        let _ = reaped_machine().cpu_time(Pid(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "Machine::policy_of: pid5 was reaped")]
+    fn policy_of_reaped_pid_panics() {
+        let _ = reaped_machine().policy_of(Pid(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "Machine::last_ran_core: pid5 was reaped")]
+    fn last_ran_core_of_reaped_pid_panics() {
+        let _ = reaped_machine().last_ran_core(Pid(5));
+    }
+
+    #[test]
+    fn compact_keeps_a_short_dead_prefix() {
+        // Below 1024 dead tasks nothing is reaped: every query still
+        // answers from the task's own record.
+        let mut m = Machine::new(exact_params(1, KernelPolicyKind::Cfs));
+        for i in 0..1000 {
+            m.spawn(TaskSpec::cpu(i, ms(1)));
+        }
+        m.advance_to(at(2_000));
+        m.compact();
+        assert_eq!(m.task_table_len(), 1000);
+        assert_eq!(m.cpu_time(Pid(0)), ms(1));
+        assert_eq!(m.last_ran_core(Pid(0)), Some(0));
+    }
+
     #[test]
     fn cpu_time_includes_inflight_run() {
         let mut m = Machine::new(exact_params(1, KernelPolicyKind::Cfs));

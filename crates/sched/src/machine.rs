@@ -16,6 +16,15 @@
 //! * [`Machine::advance_to`] — advance virtual time, collecting
 //!   notifications (task blocked / woke / finished) the controller reacts to.
 //!
+//! Pids are the plain spawn sequence: never renumbered, never reused.
+//! [`Machine::compact`] reaps finished tasks from the front of the task
+//! table, so a driver that calls it once per step keeps memory bounded by
+//! the live pid window rather than the number of tasks ever spawned. A
+//! reaped pid still answers [`Machine::proc_state`] (`Dead`) and accepts
+//! [`Machine::set_policy`] (a no-op); the per-task accounting queries
+//! ([`Machine::cpu_time`], [`Machine::policy_of`],
+//! [`Machine::last_ran_core`]) panic on it.
+//!
 //! The split of responsibilities: the machine owns time, cores, task
 //! lifecycle, accounting, and event delivery; *which task runs where, for
 //! how long* is the policy's. Hooks return [`Placed`] decisions the
@@ -174,12 +183,72 @@ impl CoreSched {
     }
 }
 
+/// Minimum dead prefix [`Machine::compact`] drains at once.
+const REAP_MIN: usize = 1024;
+
+/// The task table: every task not yet reaped, in pid order, indexed by
+/// `pid - first_pid`. Pids are the spawn sequence, so the table is a plain
+/// vector whose front is drained as tasks finish.
+#[derive(Debug, Default)]
+pub(crate) struct TaskTable {
+    tasks: Vec<Task>,
+    /// Pid of `tasks[0]`; every smaller pid has been reaped.
+    first_pid: u64,
+    /// Length of the known all-dead prefix of `tasks` — a scan cursor, so
+    /// each task is inspected once on its way out.
+    dead_prefix: usize,
+}
+
+impl TaskTable {
+    /// The pid the next spawned task gets.
+    fn next_pid(&self) -> Pid {
+        Pid(self.first_pid + self.tasks.len() as u64)
+    }
+
+    fn push(&mut self, task: Task) {
+        debug_assert_eq!(task.pid, self.next_pid());
+        self.tasks.push(task);
+    }
+
+    /// True iff `pid` was spawned and has since been reaped.
+    fn is_reaped(&self, pid: Pid) -> bool {
+        pid.0 < self.first_pid
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, pid: Pid) -> &Task {
+        &self.tasks[pid.0.wrapping_sub(self.first_pid) as usize]
+    }
+
+    #[inline]
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> &mut Task {
+        &mut self.tasks[pid.0.wrapping_sub(self.first_pid) as usize]
+    }
+
+    /// Drain the dead prefix once it is at least [`REAP_MIN`] long and at
+    /// least half the table (see [`Machine::compact`]).
+    fn reap_dead_prefix(&mut self) {
+        while self
+            .tasks
+            .get(self.dead_prefix)
+            .is_some_and(|t| t.state == ProcState::Dead)
+        {
+            self.dead_prefix += 1;
+        }
+        if self.dead_prefix >= REAP_MIN && 2 * self.dead_prefix >= self.tasks.len() {
+            self.tasks.drain(..self.dead_prefix);
+            self.first_pid += self.dead_prefix as u64;
+            self.dead_prefix = 0;
+        }
+    }
+}
+
 /// The simulated machine. See module docs.
 #[derive(Debug)]
 pub struct Machine {
     params: MachineParams,
     now: SimTime,
-    tasks: Vec<Task>,
+    tasks: TaskTable,
     cores: Vec<CoreSched>,
     /// The pluggable kernel discipline (owns every runqueue).
     kpolicy: Box<dyn KernelPolicy>,
@@ -223,7 +292,7 @@ impl Machine {
             cores: (0..params.cores).map(|_| CoreSched::new()).collect(),
             params,
             now: SimTime::ZERO,
-            tasks: Vec::new(),
+            tasks: TaskTable::default(),
             kpolicy,
             events: EventQueue::new(),
             out: Vec::new(),
@@ -288,36 +357,31 @@ impl Machine {
         self.retain_finished = retain;
     }
 
-    /// Length of the internal task table (total tasks spawned since the
-    /// last [`Machine::compact`]). Streaming drivers watch this to decide
-    /// when compacting is worthwhile.
+    /// Length of the internal task table: every task not yet reaped by
+    /// [`Machine::compact`], live or finished.
     pub fn task_table_len(&self) -> usize {
-        self.tasks.len()
+        self.tasks.tasks.len()
     }
 
-    /// Reclaim per-task memory at a quiescent point. Requires
-    /// `live_tasks() == 0`; panics otherwise.
+    /// Reap finished tasks from the front of the task table.
     ///
-    /// Drops the task table (keeping its allocation) and restarts pid
-    /// numbering from 0, so a long streaming run's memory is bounded by its
-    /// peak *concurrency*, not its total request count. This is behaviour-
-    /// transparent: with no live task there is no pending `Wake`
-    /// (sleepers are live), `CoreFire` carries `(core, gen)` rather than a
-    /// pid, per-pid tie-breaks only ever compare co-live tasks (whose
-    /// relative order a fresh numbering preserves), and clearing each
-    /// core's `last_ran` reproduces the always-charge-context-cost outcome
-    /// that distinct pids would produce anyway. Skipped while tracing
-    /// (trace segments refer to pids) or while completion records are
-    /// retained (records would alias reused pids).
+    /// Safe to call at any point between [`Machine::advance_into`] calls.
+    /// Only a task finishing can grow the dead prefix, so drivers call it
+    /// after each step that delivered a [`Notification::Finished`], once
+    /// the step's notifications have been handled: a pid may be reaped at
+    /// the end of the step in which its `Finished` was delivered. The dead
+    /// prefix is drained only once it holds at least 1024 tasks and at
+    /// least half the table, which amortises each drain to O(1) per task
+    /// and bounds the table by `2 × (live pid window) + 1024`, where the
+    /// live pid window runs from the oldest live pid to the newest pid.
+    ///
+    /// Behaviour-transparent: pids are never renumbered or reused, so every
+    /// `(vruntime, pid)` tie-break, every pid-ordered map, each core's
+    /// `last_ran` comparison and every trace segment mean what they meant.
+    /// Completion records already went out through
+    /// [`Notification::Finished`] (and [`Machine::finished`] when retained).
     pub fn compact(&mut self) {
-        assert_eq!(self.live_tasks, 0, "compact() requires a quiescent machine");
-        if self.trace.is_some() || self.retain_finished {
-            return;
-        }
-        self.tasks.clear();
-        for c in &mut self.cores {
-            c.last_ran = None;
-        }
+        self.tasks.reap_dead_prefix();
     }
 
     /// Enable execution-trace recording (who ran where, when, under which
@@ -416,8 +480,11 @@ impl Machine {
 
     /// The core `pid` last executed on (the `processor` field of
     /// `/proc/<pid>/stat`), or `None` before its first dispatch.
+    ///
+    /// # Panics
+    /// Panics if `pid` was reaped by [`Machine::compact`].
     pub fn last_ran_core(&self, pid: Pid) -> Option<usize> {
-        self.task(pid).last_core
+        self.unreaped(pid, "last_ran_core").last_core
     }
 
     /// Number of tasks queued in the policy's machine-global priority band
@@ -453,7 +520,7 @@ impl Machine {
                 );
             }
         }
-        for t in &self.tasks {
+        for t in &self.tasks.tasks {
             let queued = self.kpolicy.queued_places(t.pid);
             let running = self
                 .cores
@@ -490,7 +557,7 @@ impl Machine {
     /// Spawn a task at the current time; it becomes runnable immediately.
     pub fn spawn(&mut self, spec: TaskSpec) -> Pid {
         spec.validate().expect("invalid task spec");
-        let pid = Pid(self.tasks.len() as u64);
+        let pid = self.tasks.next_pid();
         let task = Task::new(pid, spec, self.now);
         let leading_io = task.phase();
         self.live_tasks += 1;
@@ -519,9 +586,12 @@ impl Machine {
     }
 
     /// `schedtool`: change a live task's scheduling policy. No-op on dead
-    /// tasks. Under policies that ignore the class field (the SRTF oracle)
-    /// only the bookkeeping is updated.
+    /// tasks (a reaped pid included). Under policies that ignore the class
+    /// field (the SRTF oracle) only the bookkeeping is updated.
     pub fn set_policy(&mut self, pid: Pid, policy: Policy) {
+        if self.tasks.is_reaped(pid) {
+            return;
+        }
         if self.task(pid).state == ProcState::Dead || self.task(pid).policy == policy {
             self.task_mut(pid).policy = policy;
             return;
@@ -568,16 +638,22 @@ impl Machine {
         }
     }
 
-    /// `/proc/<pid>/stat`-style state poll.
+    /// `/proc/<pid>/stat`-style state poll. A reaped pid reads `Dead`.
     pub fn proc_state(&self, pid: Pid) -> ProcState {
+        if self.tasks.is_reaped(pid) {
+            return ProcState::Dead;
+        }
         self.task(pid).state
     }
 
     /// `/proc/<pid>/stat` utime: CPU time consumed so far, charged up to the
     /// last accounting boundary plus the in-flight run (as a real kernel
     /// exposes via clock-tick accounting).
+    ///
+    /// # Panics
+    /// Panics if `pid` was reaped by [`Machine::compact`].
     pub fn cpu_time(&self, pid: Pid) -> SimDuration {
-        let t = self.task(pid);
+        let t = self.unreaped(pid, "cpu_time");
         let mut total = t.cpu_time;
         if t.state == ProcState::Running {
             if let Some(core_id) = self.core_running(pid) {
@@ -591,8 +667,11 @@ impl Machine {
     }
 
     /// The task's current policy (as `sched_getscheduler` would report).
+    ///
+    /// # Panics
+    /// Panics if `pid` was reaped by [`Machine::compact`].
     pub fn policy_of(&self, pid: Pid) -> Policy {
-        self.task(pid).policy
+        self.unreaped(pid, "policy_of").policy
     }
 
     /// Earliest pending internal event, if any.
@@ -658,11 +737,21 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn task(&self, pid: Pid) -> &Task {
-        &self.tasks[pid.0 as usize]
+        self.tasks.get(pid)
     }
 
     fn task_mut(&mut self, pid: Pid) -> &mut Task {
-        &mut self.tasks[pid.0 as usize]
+        self.tasks.get_mut(pid)
+    }
+
+    /// The task behind a public per-task accounting query, panicking with
+    /// a message naming the query and the pid if the task was reaped.
+    fn unreaped(&self, pid: Pid, query: &str) -> &Task {
+        assert!(
+            !self.tasks.is_reaped(pid),
+            "Machine::{query}: {pid} was reaped by Machine::compact after it finished"
+        );
+        self.task(pid)
     }
 
     fn core_running(&self, pid: Pid) -> Option<usize> {
@@ -689,7 +778,7 @@ impl Machine {
                 core: core_id,
                 start: run_start,
                 end: self.now,
-                policy: self.tasks[pid.0 as usize].policy,
+                policy: self.tasks.get(pid).policy,
             });
         }
         // Under consolidation contention, wall time on the core advances the

@@ -95,32 +95,26 @@ impl CfsParams {
     }
 }
 
-/// Sentinel for "this pid is not queued" in the position index.
-const POS_NONE: u32 = u32::MAX;
-
 /// A per-core CFS runqueue: queued (not running) tasks ordered by vruntime.
 ///
-/// Index-backed: a 4-ary min-heap of `(vruntime, pid, weight)` entries
-/// keyed by `(vruntime, pid)`, plus a dense `pid → heap position` index,
-/// replacing the original `BTreeSet<(u64, Pid)>` + `HashMap<Pid, u32>`
-/// weight table. A pick or an enqueue now touches one contiguous array
-/// (no tree-node walks) and never hashes the pid (the weight travels in
-/// the entry, the position index is a plain vector). The observable
-/// semantics are identical — pops always yield the unique smallest
-/// `(vruntime, pid)` — and the differential suite
-/// (`tests/cfs_runqueue_diff.rs`) drives this and a naive sorted
-/// reference model through randomized interleavings to prove it.
+/// A 4-ary min-heap of `(vruntime, pid, weight)` entries keyed by
+/// `(vruntime, pid)`, replacing the original `BTreeSet<(u64, Pid)>` +
+/// `HashMap<Pid, u32>` weight table. A pick or an enqueue touches one
+/// contiguous array (no tree-node walks) and never hashes the pid (the
+/// weight travels in the entry). The observable semantics are identical —
+/// pops always yield the unique smallest `(vruntime, pid)` — and the
+/// differential suite (`tests/cfs_runqueue_diff.rs`) drives this and a
+/// naive sorted reference model through randomized interleavings to prove
+/// it.
 ///
-/// The position index is keyed by `pid.0`, sized to the largest pid ever
-/// enqueued. The machine allocates pids densely from 0, so the index is
-/// O(spawned tasks); don't feed sparse synthetic pids like
-/// `Pid(u64::MAX)` to a real queue.
+/// Memory is O(queued tasks) whatever the pids. Finding one pid
+/// ([`contains`](Self::contains), [`remove`](Self::remove)) scans the
+/// heap: each queue belongs to one core and is shallow, and the machine
+/// only removes a queued task when a policy change hits it.
 #[derive(Debug, Clone, Default)]
 pub struct CfsRunqueue {
     /// 4-ary min-heap ordered by `(vruntime, pid)`; weight rides along.
     heap: Vec<(u64, Pid, u32)>,
-    /// `pos[pid.0]` = index into `heap`, or [`POS_NONE`].
-    pos: Vec<u32>,
     /// Monotonic minimum vruntime floor for this queue (never decreases).
     min_vruntime: u64,
     /// Sum of weights of queued tasks.
@@ -166,38 +160,27 @@ impl CfsRunqueue {
         task_vruntime.max(self.min_vruntime)
     }
 
-    #[inline]
-    fn pos_of(&self, pid: Pid) -> u32 {
-        self.pos.get(pid.0 as usize).copied().unwrap_or(POS_NONE)
-    }
-
-    /// True iff `pid` is queued here (O(1) via the position index).
+    /// True iff `pid` is queued here (scans the heap).
     pub fn contains(&self, pid: Pid) -> bool {
-        self.pos_of(pid) != POS_NONE
+        self.heap.iter().any(|e| e.1 == pid)
     }
 
     /// Insert a task with its (already normalised) vruntime.
     pub fn enqueue(&mut self, pid: Pid, vruntime: u64, weight: u32) {
-        debug_assert!(self.pos_of(pid) == POS_NONE, "task {pid} double-enqueued");
-        let slot = pid.0 as usize;
-        if self.pos.len() <= slot {
-            self.pos.resize(slot + 1, POS_NONE);
-        }
+        debug_assert!(!self.contains(pid), "task {pid} double-enqueued");
         let idx = self.heap.len();
         self.heap.push((vruntime, pid, weight));
-        self.pos[slot] = idx as u32;
         self.total_weight += weight as u64;
         self.sift_up(idx);
     }
 
     /// Remove a specific task (e.g. policy change while queued). Returns
-    /// `false` when `(pid, vruntime)` is not queued.
+    /// `false` when `(pid, vruntime)` is not queued. Scans the heap.
     pub fn remove(&mut self, pid: Pid, vruntime: u64) -> bool {
-        let idx = self.pos_of(pid);
-        if idx == POS_NONE || self.heap[idx as usize].0 != vruntime {
+        let Some(idx) = self.heap.iter().position(|e| (e.0, e.1) == (vruntime, pid)) else {
             return false;
-        }
-        let (_, _, w) = self.remove_at(idx as usize);
+        };
+        let (_, _, w) = self.remove_at(idx);
         self.total_weight = self.total_weight.saturating_sub(w as u64);
         true
     }
@@ -239,11 +222,9 @@ impl CfsRunqueue {
     /// Detach the entry at `idx`, refilling the hole from the heap tail.
     fn remove_at(&mut self, idx: usize) -> (u64, Pid, u32) {
         let entry = self.heap[idx];
-        self.pos[entry.1 .0 as usize] = POS_NONE;
         let last = self.heap.pop().expect("non-empty");
         if idx < self.heap.len() {
             self.heap[idx] = last;
-            self.pos[last.1 .0 as usize] = idx as u32;
             // The tail entry may belong above or below the hole.
             if idx > 0 && key(&self.heap[idx]) < key(&self.heap[(idx - 1) / 4]) {
                 self.sift_up(idx);
@@ -255,7 +236,7 @@ impl CfsRunqueue {
     }
 
     /// Hole-based sift: entries shift into the hole and the moving entry
-    /// is written (and its position indexed) exactly once at the end.
+    /// is written exactly once at the end.
     fn sift_up(&mut self, mut idx: usize) {
         let entry = self.heap[idx];
         let k = key(&entry);
@@ -263,14 +244,12 @@ impl CfsRunqueue {
             let parent = (idx - 1) / 4;
             if k < key(&self.heap[parent]) {
                 self.heap[idx] = self.heap[parent];
-                self.pos[self.heap[idx].1 .0 as usize] = idx as u32;
                 idx = parent;
             } else {
                 break;
             }
         }
         self.heap[idx] = entry;
-        self.pos[entry.1 .0 as usize] = idx as u32;
     }
 
     fn sift_down(&mut self, mut idx: usize) {
@@ -294,11 +273,9 @@ impl CfsRunqueue {
                 break;
             }
             self.heap[idx] = self.heap[best];
-            self.pos[self.heap[idx].1 .0 as usize] = idx as u32;
             idx = best;
         }
         self.heap[idx] = entry;
-        self.pos[entry.1 .0 as usize] = idx as u32;
     }
 }
 

@@ -46,7 +46,7 @@ pub use srtf::SrtfPolicy;
 
 use sfs_simcore::{SimDuration, SimTime};
 
-use crate::machine::CoreSched;
+use crate::machine::{CoreSched, TaskTable};
 use crate::policy::cfs::{weight_of_nice, CfsParams};
 use crate::smp::SmpParams;
 use crate::task::{Pid, Policy, ProcState, Task};
@@ -164,17 +164,17 @@ pub struct KernelCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) cfs: &'a CfsParams,
     pub(crate) smp: &'a SmpParams,
-    pub(crate) tasks: &'a mut Vec<Task>,
+    pub(crate) tasks: &'a mut TaskTable,
     pub(crate) cores: &'a mut [CoreSched],
 }
 
 impl KernelCtx<'_> {
     fn task(&self, pid: Pid) -> &Task {
-        &self.tasks[pid.0 as usize]
+        self.tasks.get(pid)
     }
 
     fn task_mut(&mut self, pid: Pid) -> &mut Task {
-        &mut self.tasks[pid.0 as usize]
+        self.tasks.get_mut(pid)
     }
 
     /// Current virtual time.

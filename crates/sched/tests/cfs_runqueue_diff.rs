@@ -1,10 +1,13 @@
-//! Differential test for the index-backed CFS runqueue.
+//! Differential test for the heap-backed CFS runqueue.
 //!
-//! Drives the production [`CfsRunqueue`] (4-ary heap + dense position
-//! index) and a naive sorted-`Vec` reference model through randomized
-//! push / pop / pop_last / remove / reweight interleavings and asserts
-//! identical observable behaviour at every step: pick sequences, peeks,
-//! lengths, total weights, and the monotonic `min_vruntime` floor.
+//! Drives the production [`CfsRunqueue`] (4-ary heap) and a naive
+//! sorted-`Vec` reference model through randomized push / pop / pop_last /
+//! remove / reweight interleavings and asserts identical observable
+//! behaviour at every step: pick sequences, peeks, lengths, total weights,
+//! and the monotonic `min_vruntime` floor. Pids come dense from 0 (as the
+//! machine spawns them) or sparse across the whole `u64` range, including
+//! `Pid(1 << 40)` and `Pid(u64::MAX)`: the queue holds nothing indexed by
+//! pid, so any pid must work.
 //!
 //! Randomised cases come from the workspace's seeded `SimRng` (no proptest
 //! dependency): a fixed number of cases from fixed seeds, so failures are
@@ -106,9 +109,35 @@ fn check_invariants(rq: &CfsRunqueue, model: &RefModel, case: u64, step: usize) 
 
 #[test]
 fn randomized_interleavings_match_reference_model() {
+    interleavings("interleavings", 5_000, Pid);
+}
+
+/// The `n`-th pid of a case whose pids are sparse over the whole `u64`
+/// range: the extremes first, then an odd-multiplier scatter (a bijection
+/// on `u64`, so distinct `n` give distinct pids).
+fn sparse_pid(n: u64) -> Pid {
+    match n {
+        0 => Pid(u64::MAX),
+        1 => Pid(1 << 40),
+        2 => Pid(u64::MAX - 1),
+        3 => Pid(0),
+        _ => Pid(n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    }
+}
+
+#[test]
+fn sparse_and_huge_pids_match_reference_model() {
+    // A narrow vruntime range makes `(vruntime, pid)` ties common, so the
+    // pid half of the key decides many picks.
+    interleavings("sparse", 50, sparse_pid);
+}
+
+/// Randomized interleavings with vruntimes drawn from `0..=max_vruntime`
+/// and the `n`-th fresh pid of a case given by `pid_of(n)`.
+fn interleavings(tag: &str, max_vruntime: u64, pid_of: impl Fn(u64) -> Pid) {
     for case in 0..64u64 {
         let mut rng = SimRng::seed_from_u64(0xCF5_D1FF)
-            .derive("interleavings")
+            .derive(tag)
             .derive(&case.to_string());
         let mut rq = CfsRunqueue::new();
         let mut model = RefModel::default();
@@ -119,9 +148,9 @@ fn randomized_interleavings_match_reference_model() {
             match rng.uniform_u64(0, 99) {
                 // Push a fresh task at a placed vruntime.
                 0..=39 => {
-                    let pid = Pid(next_pid);
+                    let pid = pid_of(next_pid);
                     next_pid += 1;
-                    let v = rq.place_vruntime(rng.uniform_u64(0, 5_000));
+                    let v = rq.place_vruntime(rng.uniform_u64(0, max_vruntime));
                     assert_eq!(v, model.min_vruntime.max(v), "placement respects floor");
                     let w = [15u32, 1024, 88761][rng.uniform_u64(0, 2) as usize];
                     rq.enqueue(pid, v, w);
@@ -212,4 +241,23 @@ fn pick_sequence_is_globally_sorted_after_bulk_load() {
     assert_eq!(picked, keys);
     assert_eq!(rq.total_weight(), 0);
     assert_eq!(rq.min_vruntime(), keys.last().unwrap().0);
+}
+
+#[test]
+fn pick_sequence_is_sorted_with_sparse_pids() {
+    let mut rng = SimRng::seed_from_u64(0xCF5_5BA5);
+    let mut rq = CfsRunqueue::new();
+    let mut keys: Vec<(u64, u64)> = Vec::new();
+    for n in 0..2_000u64 {
+        let pid = sparse_pid(n);
+        let v = rng.uniform_u64(0, 100);
+        rq.enqueue(pid, v, 1024);
+        keys.push((v, pid.0));
+    }
+    assert!(rq.contains(Pid(u64::MAX)) && rq.contains(Pid(1 << 40)));
+    assert!(!rq.contains(Pid(12_345)));
+    keys.sort_unstable();
+    let picked: Vec<(u64, u64)> = std::iter::from_fn(|| rq.pop().map(|(v, p)| (v, p.0))).collect();
+    assert_eq!(picked, keys);
+    assert_eq!(rq.total_weight(), 0);
 }

@@ -342,3 +342,49 @@ fn heavily_oversubscribed_machine_terminates() {
     let expect: u64 = (0..400u64).map(|i| 1 + (i % 30)).sum();
     assert_eq!(total, ms(expect));
 }
+
+#[test]
+fn compaction_bounds_the_task_table_on_a_busy_host() {
+    // Tasks overlap so that the machine never goes idle, yet no task lives
+    // long: a few CPU tasks plus the odd I/O straggler are live at any
+    // instant. Compacting after every advance must keep the task table
+    // within 2 × (live pid window) + 1024, where the window runs from the
+    // oldest live pid to the newest pid, while total spawns grow far past
+    // that bound.
+    let mut m = Machine::new(MachineParams::linux(4));
+    let mut live = std::collections::BTreeSet::new();
+    let spawns = 40_000u64;
+    let mut peak_len = 0;
+    for i in 0..spawns {
+        m.advance_to(at(i));
+        let spec = if i % 10 == 0 {
+            TaskSpec {
+                phases: vec![Phase::Cpu(ms(1)), Phase::Io(ms(40)), Phase::Cpu(ms(1))],
+                policy: Policy::NORMAL,
+                label: i,
+            }
+        } else {
+            TaskSpec::cpu(i, ms(3))
+        };
+        live.insert(m.spawn(spec));
+        let next = at(i + 1);
+        for note in m.advance_to(next - SimDuration::from_micros(1)) {
+            if let Notification::Finished(rec) = note {
+                assert!(live.remove(&rec.pid));
+            }
+        }
+        assert!(m.live_tasks() > 0, "the host went idle at task {i}");
+        m.compact();
+        let oldest = live.first().expect("a task is live").0;
+        let window = (i - oldest + 1) as usize;
+        assert!(
+            m.task_table_len() <= 2 * window + 1024,
+            "table {} over the bound for window {window} after {} spawns",
+            m.task_table_len(),
+            i + 1
+        );
+        peak_len = peak_len.max(m.task_table_len());
+    }
+    assert!(peak_len < 1200, "peak task table {peak_len}");
+    assert_eq!(m.live_tasks(), live.len());
+}

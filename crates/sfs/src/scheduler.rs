@@ -57,12 +57,10 @@ enum Loc {
     Blocked,
 }
 
-/// Per-request state, stored in a dense slab indexed by `pid` (see
+/// Per-request state, stored in a free-list slab (see
 /// [`SfsController::states`]).
 #[derive(Debug, Clone)]
 struct ReqState {
-    /// Request id — the outcome key [`Controller::annotate`] receives.
-    id: u64,
     pid: Pid,
     /// Invocation timestamp (when the FaaS server enqueued it).
     t_inv: SimTime,
@@ -78,26 +76,6 @@ struct ReqState {
     offloaded: bool,
     filter_rounds: u32,
     io_blocks: u32,
-}
-
-impl ReqState {
-    /// Filler for slab holes (only reachable if a driver hands out sparse
-    /// pids; [`crate::Sim`] never does).
-    fn vacant() -> ReqState {
-        ReqState {
-            id: u64::MAX,
-            pid: Pid(u64::MAX),
-            t_inv: SimTime::ZERO,
-            enqueued_at: SimTime::ZERO,
-            slice_remaining: None,
-            first_pop_delay: None,
-            loc: Loc::None,
-            demoted: false,
-            offloaded: false,
-            filter_rounds: 0,
-            io_blocks: 0,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -140,20 +118,23 @@ pub struct SfsController {
     worker_queues: Vec<VecDeque<u32>>,
     /// Round-robin cursor for per-worker assignment.
     next_rr: usize,
-    /// Per-request state slab, indexed by `pid.0` (the *slot*). The sim
-    /// spawns one process per request with densely allocated pids, so
-    /// every hot-path lookup — assign, poll, demote, completion — is a
-    /// plain vector index; the old `HashMap<u64, ReqState>` keyed by
-    /// request id plus the `HashMap<Pid, u64>` reverse map hashed twice
-    /// per touch.
+    /// Per-request state slab. A request takes a *slot* at arrival and
+    /// gives it back in [`Controller::annotate`]; freed slots are reused,
+    /// so the slab is as large as the peak number of tracked requests,
+    /// whatever the pids. Every hot-path lookup — assign, poll, demote —
+    /// is a plain vector index. Slots are only handles: queues are FIFO by
+    /// enqueue and nothing orders by slot.
     states: Vec<ReqState>,
-    /// Request id → slot, consulted once per request (in
-    /// [`Controller::annotate`], which only receives the outcome id).
-    /// Audited lookups-only (simlint D1): one `insert` at spawn, one
-    /// `remove` in `annotate`; never iterated, so hash order cannot reach
-    /// any scheduling decision. A BTreeMap here would put a log-n probe on
-    /// the per-request hot path PR 5 flattened.
-    // lint: allow(D1, insert at spawn + remove in annotate only; never iterated; hot path per PR 5)
+    /// Slots free for reuse (LIFO).
+    free_slots: Vec<u32>,
+    /// Request id → slot, consulted twice per request: on its `Finished`
+    /// notification and in [`Controller::annotate`], which only receives
+    /// the outcome id. Audited lookups-only (simlint D1): one `insert` at
+    /// spawn, one `get` at completion, one `remove` in `annotate`; never
+    /// iterated, so hash order cannot reach any scheduling decision. A
+    /// BTreeMap here would put a log-n probe on the per-request hot path
+    /// PR 5 flattened.
+    // lint: allow(D1, insert at spawn + get at completion + remove in annotate only; never iterated; hot path per PR 5)
     slot_of_id: HashMap<u64, u32>,
     workers: Vec<Worker>,
     /// Slots blocked on I/O, awaiting wake detection by polling.
@@ -190,6 +171,7 @@ impl SfsController {
             worker_queues: (0..cfg.workers).map(|_| VecDeque::new()).collect(),
             next_rr: 0,
             states: Vec::new(),
+            free_slots: Vec::new(),
             // lint: allow(D1, construction of the audited lookups-only map declared above)
             slot_of_id: HashMap::new(),
             workers: (0..cfg.workers).map(|_| Worker::default()).collect(),
@@ -517,14 +499,7 @@ impl Controller for SfsController {
     fn on_arrival(&mut self, m: &mut MachineView<'_>, req: &Request, pid: Pid) {
         let now = m.now();
         let id = req.id;
-        // Slab slot = pid: the sim spawns one process per request with
-        // densely allocated pids, so this is a plain push in practice.
-        let slot = pid.0 as usize;
-        if self.states.len() <= slot {
-            self.states.resize_with(slot + 1, ReqState::vacant);
-        }
-        self.states[slot] = ReqState {
-            id,
+        let st = ReqState {
             pid,
             t_inv: now,
             enqueued_at: now,
@@ -536,17 +511,27 @@ impl Controller for SfsController {
             filter_rounds: 0,
             io_blocks: 0,
         };
-        self.slot_of_id.insert(id, slot as u32);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.states[slot as usize] = st;
+                slot
+            }
+            None => {
+                self.states.push(st);
+                (self.states.len() - 1) as u32
+            }
+        };
+        self.slot_of_id.insert(id, slot);
         self.slice.on_arrival(now);
-        self.enqueue_req(slot as u32);
+        self.enqueue_req(slot);
         self.try_assign(m);
         self.arm_poll(m);
     }
 
     fn on_notification(&mut self, m: &mut MachineView<'_>, note: &Notification) {
         if let Notification::Finished(rec) = note {
-            let slot = rec.pid.0 as usize;
-            debug_assert_eq!(self.states[slot].id, rec.label, "pid/slot mismatch");
+            let slot = self.slot_of_id[&rec.label] as usize;
+            debug_assert_eq!(self.states[slot].pid, rec.pid, "id/slot mismatch");
             // Free the worker if this function was in a FILTER round.
             for w in 0..self.workers.len() {
                 if self.workers[w].current.is_some_and(|a| a.pid == rec.pid) {
@@ -606,6 +591,7 @@ impl Controller for SfsController {
         outcome.offloaded = st.offloaded;
         outcome.filter_rounds = st.filter_rounds;
         outcome.io_blocks = st.io_blocks;
+        self.free_slots.push(slot);
     }
 
     fn finish(&mut self, telemetry: &mut Telemetry) {
@@ -634,5 +620,85 @@ impl crate::sim::ControllerFactory for SfsConfig {
 
     fn configure_machine(&self, params: &mut sfs_sched::MachineParams) {
         params.kpolicy = self.kpolicy;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfs_sched::{FinishedTask, Machine, MachineParams, Phase, TaskSpec};
+    use sfs_workload::AppKind;
+
+    /// The `micro/sfs_dispatch` pattern: a fixed pool of live processes
+    /// re-arrives again and again under fresh request ids, in bursts of
+    /// varying size whose members finish in a scrambled order. The slab
+    /// must recycle slots: it never holds more entries than the peak
+    /// number of requests tracked at once.
+    #[test]
+    fn slab_never_outgrows_peak_concurrency() {
+        let mut machine = Machine::new(MachineParams::linux(4));
+        let pool: Vec<Pid> = (0..64)
+            .map(|i| {
+                machine.spawn(TaskSpec {
+                    phases: vec![Phase::Cpu(SimDuration::from_millis(1 << 30))],
+                    policy: Policy::NORMAL,
+                    label: i,
+                })
+            })
+            .collect();
+        let mut ctl = SfsController::new(SfsConfig::new(4));
+        let mut actions = 0;
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let mut peak = 0;
+        for round in 0..2_000usize {
+            now += SimDuration::from_micros(500);
+            machine.advance_to(now);
+            let mut view = MachineView::new(&mut machine, &mut actions);
+            ctl.on_wakeup(&mut view);
+            let burst = 1 + round % 9;
+            let mut tracked = Vec::new();
+            for k in 0..burst {
+                let pid = pool[(round * 7 + k) % pool.len()];
+                let req = Request {
+                    id: next_id,
+                    arrival: now,
+                    app: AppKind::Fib,
+                    duration_ms: 1.0,
+                    injected_io_ms: None,
+                    cold_start_ms: None,
+                    spec: TaskSpec::cpu(next_id, SimDuration::from_millis(1)),
+                };
+                ctl.on_arrival(&mut view, &req, pid);
+                tracked.push((next_id, pid));
+                next_id += 1;
+            }
+            peak = peak.max(ctl.slot_of_id.len());
+            assert!(ctl.states.len() <= peak, "slab outgrew peak concurrency");
+            // Finish in a scrambled order.
+            tracked.rotate_left(round % burst);
+            for (id, pid) in tracked {
+                let rec = FinishedTask {
+                    pid,
+                    label: id,
+                    arrival: now,
+                    first_run: Some(now),
+                    finished: now,
+                    cpu_time: SimDuration::from_millis(1),
+                    io_time: SimDuration::ZERO,
+                    cpu_demand: SimDuration::from_millis(1),
+                    ideal: SimDuration::from_millis(1),
+                    ctx_switches: 0,
+                    migrations: 0,
+                };
+                let mut outcome = crate::sim::outcome_of(&rec);
+                ctl.on_notification(&mut view, &Notification::Finished(Box::new(rec)));
+                ctl.annotate(&mut outcome);
+            }
+        }
+        assert_eq!(peak, 9);
+        assert_eq!(ctl.states.len(), 9);
+        assert!(ctl.slot_of_id.is_empty());
+        assert_eq!(ctl.free_slots.len(), 9);
     }
 }

@@ -53,6 +53,16 @@ use crate::stats::RequestOutcome;
 /// [`sfs_sched::Machine::advance_to`] or `spawn` — time and dispatch belong
 /// to the [`Sim`] driver, exactly as they belong to the kernel and the FaaS
 /// server in the real system.
+///
+/// Pid lifetime: [`Sim`] reaps a finished task at the end of the step in
+/// which its [`Notification::Finished`] was delivered
+/// ([`sfs_sched::Machine::compact`]). From then on, as for any dead task,
+/// [`proc_state`](MachineView::proc_state) answers `Dead` and
+/// [`set_policy`](MachineView::set_policy) is a no-op; the accounting
+/// queries ([`cpu_time`](MachineView::cpu_time),
+/// [`policy_of`](MachineView::policy_of),
+/// [`last_ran_core`](MachineView::last_ran_core)) panic, naming the pid.
+/// A controller should drop a pid once it has seen it finish.
 #[derive(Debug)]
 pub struct MachineView<'a> {
     machine: &'a mut Machine,
@@ -499,13 +509,7 @@ impl<'a> Sim<'a> {
             order,
             cursor: 0,
         };
-        let res = drive(
-            &mut machine,
-            &mut *controller,
-            source,
-            |o| outcomes.push(o),
-            None,
-        );
+        let res = drive(&mut machine, &mut *controller, source, |o| outcomes.push(o));
 
         outcomes.sort_by_key(|o| o.id);
         let mut telemetry = Telemetry::default();
@@ -525,11 +529,14 @@ impl<'a> Sim<'a> {
     /// workload or the outcome list: each [`Request`] is pulled from
     /// `arrivals` only when the simulation reaches its arrival time, and
     /// each [`RequestOutcome`] is handed to `sink` (in completion order,
-    /// not id order) the moment its request finishes. Peak memory is
-    /// O(peak concurrency), not O(request count): the machine drops
+    /// not id order) the moment its request finishes. Peak memory tracks
+    /// the live pid window (oldest live pid to newest pid), not the request
+    /// count, whether or not the host ever goes idle: the machine drops
     /// completion records ([`sfs_sched::Machine::set_retain_finished`])
-    /// and compacts its task table at quiescent points
-    /// ([`sfs_sched::Machine::compact`]).
+    /// and reaps finished tasks after each step in which one finished
+    /// ([`sfs_sched::Machine::compact`]). Pids are stable, so tracing
+    /// ([`Sim::tracing`]) does not stop the reaping; only the trace itself
+    /// grows with the run.
     ///
     /// `arrivals` must be non-decreasing in arrival time (checked) — the
     /// order [`sfs_workload::WorkloadSpec::stream`] produces. A run over
@@ -576,13 +583,7 @@ impl<'a> Sim<'a> {
             iter: arrivals.into_iter().peekable(),
             last_arrival: SimTime::ZERO,
         };
-        let res = drive(
-            &mut machine,
-            &mut *controller,
-            source,
-            &mut sink,
-            Some(COMPACT_TASK_TABLE_LEN),
-        );
+        let res = drive(&mut machine, &mut *controller, source, &mut sink);
 
         let mut telemetry = Telemetry::default();
         controller.finish(&mut telemetry);
@@ -612,17 +613,13 @@ pub struct StreamRun {
     pub sim_span: SimDuration,
     /// Cores in the simulated machine.
     pub cores: usize,
-    /// Execution trace, if requested via [`Sim::tracing`]. (Tracing
-    /// disables task-table compaction, so only use it at small scales.)
+    /// Execution trace, if requested via [`Sim::tracing`]. Pids are stable,
+    /// so tracing leaves task reaping on, but the trace holds one segment
+    /// per accounting boundary: use it at small scales.
     pub schedule_trace: Option<ScheduleTrace>,
     /// Controller-specific counters and timelines.
     pub telemetry: Telemetry,
 }
-
-/// Compact the machine's task table whenever the run quiesces with at
-/// least this many dead task records — large enough that compaction cost
-/// is amortised, small enough that a streaming run's slab stays tiny.
-const COMPACT_TASK_TABLE_LEN: usize = 1024;
 
 /// Where the simulation loop pulls due requests from: a materialised
 /// workload replayed in stable `(arrival, index)` order, or a lazy
@@ -724,7 +721,6 @@ fn drive<I, C, F>(
     controller: &mut C,
     mut source: Source<'_, I>,
     mut emit: F,
-    compact_threshold: Option<usize>,
 ) -> DriveResult
 where
     I: Iterator<Item = Request>,
@@ -776,6 +772,7 @@ where
             .max(machine.now());
         notes.clear();
         machine.advance_into(next, &mut notes);
+        let completed_before = completed;
         let mut view = MachineView {
             machine: &mut *machine,
             sched_actions: &mut sched_actions,
@@ -791,13 +788,14 @@ where
         }
         spawned += source.spawn_due(next, &mut view, controller);
         controller.on_wakeup(&mut view);
-        // Streaming runs reclaim the task table whenever the machine
-        // quiesces with enough dead records — behaviour-transparent (see
+        // Every finished task's notification has been delivered: reap
+        // the dead prefix of the task table. Behaviour-transparent (see
         // Machine::compact), so replay and stream stay event-identical.
-        if let Some(threshold) = compact_threshold {
-            if machine.live_tasks() == 0 && machine.task_table_len() >= threshold {
-                machine.compact();
-            }
+        // Only a step in which a task finished can grow the dead prefix,
+        // and most steps finish none (fleet hosts take ~55 steps per
+        // request), so the other steps skip the call.
+        if completed > completed_before {
+            machine.compact();
         }
     }
 
@@ -808,7 +806,7 @@ where
 }
 
 /// The controller-independent part of a request's outcome record.
-fn outcome_of(rec: &FinishedTask) -> RequestOutcome {
+pub(crate) fn outcome_of(rec: &FinishedTask) -> RequestOutcome {
     RequestOutcome {
         id: rec.label,
         arrival: rec.arrival,

@@ -3,14 +3,19 @@
 //!
 //! Streaming mode changes *retention*, never *behaviour*: requests are
 //! pulled lazily from the workload stream, outcome records go to a sink
-//! instead of a vector, the machine drops completion records, and the task
-//! table is compacted at quiescent points. Every outcome and every scalar
-//! counter must nevertheless be bit-identical to the classic run over the
-//! same workload — this suite locks that equivalence across policies and
-//! workload families.
+//! instead of a vector, and the machine drops completion records. Both
+//! paths reap finished tasks from the machine's task table as they go,
+//! busy host or idle, without renumbering pids. Every outcome and
+//! every scalar counter must nevertheless be bit-identical to the classic
+//! run over the same workload — this suite locks that equivalence across
+//! policies, workload families, and a host that never goes idle.
 
-use sfs_core::{KernelOnly, OutcomeSummary, RequestOutcome, SfsConfig, SfsController, Sim};
-use sfs_sched::MachineParams;
+use sfs_core::{
+    Controller, KernelOnly, OutcomeSummary, RequestOutcome, RunOutcome, SfsConfig, SfsController,
+    Sim, StreamRun,
+};
+use sfs_sched::{MachineParams, SmpParams};
+use sfs_simcore::{SimDuration, SimTime};
 use sfs_workload::WorkloadSpec;
 
 fn assert_outcomes_identical(classic: &[RequestOutcome], streamed: &mut [RequestOutcome]) {
@@ -64,8 +69,8 @@ fn diff_sfs(spec: &WorkloadSpec, cores: usize) {
 
 #[test]
 fn sfs_streaming_matches_classic_azure() {
-    // Long enough past COMPACT_TASK_TABLE_LEN (1024) that quiescent-point
-    // compaction actually fires and must prove itself transparent.
+    // Long enough past the 1024-task reaping threshold that the task
+    // table is drained and must prove itself transparent.
     diff_sfs(&WorkloadSpec::azure_sampled(3_000, 7).with_load(4, 0.9), 4);
 }
 
@@ -83,6 +88,93 @@ fn sfs_streaming_matches_classic_io_and_cold_families() {
         &WorkloadSpec::cold_start_mix(1_500, 17).with_load(4, 0.8),
         4,
     );
+}
+
+/// True iff the machine is never empty between the first arrival and the
+/// last completion: every request arrives no later than the latest finish
+/// among the requests before it. (An arrival at the very instant of that
+/// finish is spawned in the same step, so the host is not idle then.)
+fn never_idle(outcomes: &[RequestOutcome]) -> bool {
+    let mut by_arrival: Vec<&RequestOutcome> = outcomes.iter().collect();
+    by_arrival.sort_by_key(|o| (o.arrival, o.id));
+    let mut busy_until = SimTime::ZERO;
+    for (i, o) in by_arrival.iter().enumerate() {
+        if i > 0 && o.arrival > busy_until {
+            return false;
+        }
+        busy_until = busy_until.max(o.finished);
+    }
+    true
+}
+
+/// Replay `spec` and stream it, both traced, and require bit-identical
+/// outcomes, counters and schedule traces.
+fn diff_traced(
+    params: MachineParams,
+    spec: &WorkloadSpec,
+    controller: impl Fn() -> Box<dyn Controller>,
+) -> RunOutcome {
+    let workload = spec.generate();
+    let classic = Sim::on(params)
+        .workload(&workload)
+        .boxed_controller(controller())
+        .tracing()
+        .run();
+    let mut streamed = Vec::new();
+    let run: StreamRun = Sim::on(params)
+        .boxed_controller(controller())
+        .tracing()
+        .run_streaming(spec.stream(), |o| streamed.push(o));
+    assert_outcomes_identical(&classic.outcomes, &mut streamed);
+    assert_eq!(run.sched_actions, classic.sched_actions);
+    assert_eq!(run.machine_ctx_switches, classic.machine_ctx_switches);
+    assert_eq!(run.sim_span, classic.sim_span);
+    assert_eq!(run.telemetry.polls, classic.telemetry.polls);
+    assert_eq!(run.telemetry.polled_tasks, classic.telemetry.polled_tasks);
+    assert_eq!(run.telemetry.offloaded, classic.telemetry.offloaded);
+    assert_eq!(run.telemetry.demoted, classic.telemetry.demoted);
+    // Pids are stable, so a traced stream reaps tasks yet records the very
+    // same segments as the replay.
+    assert_eq!(
+        run.schedule_trace.expect("streamed trace").segments(),
+        classic
+            .schedule_trace
+            .as_ref()
+            .expect("classic trace")
+            .segments()
+    );
+    classic
+}
+
+#[test]
+fn busy_smp_host_streaming_matches_classic() {
+    // The shape of the `stream_io_smp` benchmark workload: 32 cores with
+    // SMP balancing, an I/O-heavy OpenLambda mix at 90 % duration load.
+    // At this size the host never goes idle (asserted below), so every
+    // reaping happens with tasks live and none could wait for quiescence.
+    let cores = 32;
+    let params = MachineParams::linux(cores).with_smp(SmpParams::balanced(
+        SimDuration::from_millis(4),
+        SimDuration::from_micros(30),
+        SimDuration::from_micros(15),
+    ));
+    let spec = WorkloadSpec {
+        io_fraction: 0.75,
+        ..WorkloadSpec::openlambda(4_000, 7919)
+    }
+    .with_duration_load(cores, 0.9);
+
+    let cfs = diff_traced(params, &spec, || {
+        Box::new(KernelOnly(sfs_sched::Policy::NORMAL))
+    });
+    assert_eq!(cfs.outcomes.len(), 4_000);
+    assert!(never_idle(&cfs.outcomes), "the CFS host went idle");
+
+    let sfs = diff_traced(params, &spec, || {
+        Box::new(SfsController::new(SfsConfig::new(cores).without_series()))
+    });
+    assert_eq!(sfs.outcomes.len(), 4_000);
+    assert!(never_idle(&sfs.outcomes), "the SFS host went idle");
 }
 
 #[test]

@@ -227,6 +227,7 @@ impl TaskTable {
 
     /// Drain the dead prefix once it is at least [`REAP_MIN`] long and at
     /// least half the table (see [`Machine::compact`]).
+    #[inline]
     fn reap_dead_prefix(&mut self) {
         while self
             .tasks
@@ -366,10 +367,10 @@ impl Machine {
     /// Reap finished tasks from the front of the task table.
     ///
     /// Safe to call at any point between [`Machine::advance_into`] calls.
-    /// Only a task finishing can grow the dead prefix, so drivers call it
-    /// after each step that delivered a [`Notification::Finished`], once
-    /// the step's notifications have been handled: a pid may be reaped at
-    /// the end of the step in which its `Finished` was delivered. The dead
+    /// Drivers call it at the end of every step, once the step's
+    /// notifications have been handled: a pid may be reaped at the end of
+    /// the step in which its [`Notification::Finished`] was delivered. A
+    /// call with nothing to reap inspects one task. The dead
     /// prefix is drained only once it holds at least 1024 tasks and at
     /// least half the table, which amortises each drain to O(1) per task
     /// and bounds the table by `2 × (live pid window) + 1024`, where the
@@ -380,6 +381,7 @@ impl Machine {
     /// `last_ran` comparison and every trace segment mean what they meant.
     /// Completion records already went out through
     /// [`Notification::Finished`] (and [`Machine::finished`] when retained).
+    #[inline]
     pub fn compact(&mut self) {
         self.tasks.reap_dead_prefix();
     }

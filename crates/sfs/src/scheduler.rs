@@ -29,6 +29,7 @@
 
 // lint: allow(D1, slot_of_id is the hot-path id->slot map from PR 5; keyed insert/remove only, never iterated)
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sfs_sched::{Notification, Pid, Policy, ProcState};
 use sfs_simcore::{EventQueue, SimDuration, SimTime, TimeSeries};
@@ -76,6 +77,29 @@ struct ReqState {
     offloaded: bool,
     filter_rounds: u32,
     io_blocks: u32,
+}
+
+/// Hasher for [`SfsController::slot_of_id`], which is probed twice per
+/// request. Request ids are distinct `u64`s, so a multiply by 2^64/φ mixes
+/// them; the rotation moves the product's well-mixed high half into the
+/// low bits the table indexes by, so strided ids (one host's share of a
+/// fleet's requests) spread too. SipHash's resistance to adversarial keys
+/// buys nothing for simulator-made ids.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdHasher hashes u64 request ids only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +159,7 @@ pub struct SfsController {
     /// BTreeMap here would put a log-n probe on the per-request hot path
     /// PR 5 flattened.
     // lint: allow(D1, insert at spawn + get at completion + remove in annotate only; never iterated; hot path per PR 5)
-    slot_of_id: HashMap<u64, u32>,
+    slot_of_id: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
     workers: Vec<Worker>,
     /// Slots blocked on I/O, awaiting wake detection by polling.
     blocked: Vec<u32>,
@@ -173,7 +197,7 @@ impl SfsController {
             states: Vec::new(),
             free_slots: Vec::new(),
             // lint: allow(D1, construction of the audited lookups-only map declared above)
-            slot_of_id: HashMap::new(),
+            slot_of_id: HashMap::default(),
             workers: (0..cfg.workers).map(|_| Worker::default()).collect(),
             blocked: Vec::new(),
             rewoken: Vec::new(),

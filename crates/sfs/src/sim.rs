@@ -533,7 +533,7 @@ impl<'a> Sim<'a> {
     /// the live pid window (oldest live pid to newest pid), not the request
     /// count, whether or not the host ever goes idle: the machine drops
     /// completion records ([`sfs_sched::Machine::set_retain_finished`])
-    /// and reaps finished tasks after each step in which one finished
+    /// and reaps finished tasks at the end of every step
     /// ([`sfs_sched::Machine::compact`]). Pids are stable, so tracing
     /// ([`Sim::tracing`]) does not stop the reaping; only the trace itself
     /// grows with the run.
@@ -772,7 +772,6 @@ where
             .max(machine.now());
         notes.clear();
         machine.advance_into(next, &mut notes);
-        let completed_before = completed;
         let mut view = MachineView {
             machine: &mut *machine,
             sched_actions: &mut sched_actions,
@@ -791,12 +790,7 @@ where
         // Every finished task's notification has been delivered: reap
         // the dead prefix of the task table. Behaviour-transparent (see
         // Machine::compact), so replay and stream stay event-identical.
-        // Only a step in which a task finished can grow the dead prefix,
-        // and most steps finish none (fleet hosts take ~55 steps per
-        // request), so the other steps skip the call.
-        if completed > completed_before {
-            machine.compact();
-        }
+        machine.compact();
     }
 
     DriveResult {
